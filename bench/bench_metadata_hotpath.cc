@@ -8,12 +8,10 @@
 //                  should scale with threads on multi-core hosts.
 //   slive          per-operation-type S-Live throughput at each thread
 //                  count (fresh Master per run, identical op set).
-//   group_commit   create throughput against a file-backed edit log:
-//                  per-record flush vs group commit at 8 threads, plus
-//                  flushes per journal record.
-//   report_batching  full block reports applied one service-lock
-//                  acquisition per report (ProcessBlockReport) vs staged
-//                  and folded in by one FlushStagedReports call.
+//   group_commit   create throughput at 8 threads against a
+//                  metadata_dir-backed master (segmented journal), at
+//                  page-cache and fsync durability, plus flushes per
+//                  journal record.
 //   allocations    heap allocations per op on the resolve (path lookup)
 //                  and journal-append hot paths.
 //   checkpoint_stall  single-mutator create throughput against a
@@ -37,6 +35,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
@@ -162,7 +161,7 @@ double RunReadMix(Master* master, int threads, int total_ops) {
   return total_ops / Seconds(start);
 }
 
-// -- Section C: group commit vs per-record flush ---------------------------
+// -- Section C: group commit through the segmented journal -----------------
 
 struct GroupCommitResult {
   std::string mode;
@@ -174,14 +173,13 @@ struct GroupCommitResult {
   int64_t flushes = 0;
 };
 
-GroupCommitResult RunGroupCommit(SystemClock* clock, bool sync_each_record,
-                                 bool fsync, int threads, int total_creates) {
-  std::string log_path = "/tmp/octo_bench_metadata_editlog.log";
-  std::remove(log_path.c_str());
+GroupCommitResult RunGroupCommit(SystemClock* clock, bool fsync, int threads,
+                                 int total_creates) {
+  const std::string meta_dir = "/tmp/octo_bench_metadata_gc";
+  std::filesystem::remove_all(meta_dir);
   MasterOptions options;
-  options.edit_log_path = log_path;
+  options.metadata_dir = meta_dir;
   Master master(options, clock);
-  if (sync_each_record) master.edit_log()->SetSyncEachRecord(true);
   if (fsync) master.edit_log()->SetFsyncOnFlush(true);
   for (int t = 0; t < threads; ++t) {
     OCTO_CHECK_OK(master.Mkdirs("/gc/d" + std::to_string(t), kUser));
@@ -206,7 +204,7 @@ GroupCommitResult RunGroupCommit(SystemClock* clock, bool sync_each_record,
   for (std::thread& worker : pool) worker.join();
   double elapsed = Seconds(start);
   GroupCommitResult result;
-  result.mode = sync_each_record ? "per_record_flush" : "group_commit";
+  result.mode = "group_commit";
   result.durability = fsync ? "fsync" : "page_cache";
   result.threads = threads;
   result.creates_per_sec = total_creates / elapsed;
@@ -216,98 +214,7 @@ GroupCommitResult RunGroupCommit(SystemClock* clock, bool sync_each_record,
       result.records > 0
           ? static_cast<double>(result.flushes) / result.records
           : 0.0;
-  std::remove(log_path.c_str());
-  return result;
-}
-
-// -- Section D: immediate vs staged block-report application ---------------
-
-struct ReportBatchingResult {
-  double immediate_reports_per_sec = 0;
-  double staged_reports_per_sec = 0;
-  int workers = 0;
-  int blocks = 0;
-};
-
-ReportBatchingResult RunReportBatching(SystemClock* clock) {
-  constexpr int kWorkers = 16;
-  constexpr int kFiles = 1024;
-  Master master(MasterOptions{}, clock);
-  master.DefineTier({kHddTier, "HDD", MediaType::kHdd});
-  std::vector<MediumId> media;
-  for (int w = 0; w < kWorkers; ++w) {
-    auto worker = master.RegisterWorker(
-        NetworkLocation("r" + std::to_string(w % 2), "n" + std::to_string(w)),
-        1.25e9);
-    OCTO_CHECK(worker.ok());
-    MediumSpec spec;
-    spec.tier = kHddTier;
-    spec.type = MediaType::kHdd;
-    spec.capacity_bytes = 1024 * kGiB;
-    spec.write_bps = FromMBps(126);
-    spec.read_bps = FromMBps(177);
-    auto medium = master.RegisterMedium(*worker, spec, ProfiledRates{});
-    OCTO_CHECK(medium.ok());
-    media.push_back(*medium);
-  }
-  ReplicationVector rv = ReplicationVector::OfTotal(3);
-  OCTO_CHECK_OK(master.Mkdirs("/reports", kUser));
-  for (int f = 0; f < kFiles; ++f) {
-    std::string path = "/reports/f" + std::to_string(f);
-    OCTO_CHECK_OK(master.Create(path, rv, 64 * kMiB, false, kUser, "bench"));
-    auto located = master.AddBlock(path, "bench", NetworkLocation());
-    OCTO_CHECK(located.ok()) << located.status().ToString();
-    std::vector<MediumId> succeeded;
-    for (const PlacedReplica& r : located->locations) {
-      succeeded.push_back(r.medium);
-    }
-    OCTO_CHECK_OK(master.CommitBlock(path, "bench", located->block.id,
-                                     64 * kMiB, succeeded,
-                                     located->block.genstamp));
-    OCTO_CHECK_OK(master.CompleteFile(path, "bench"));
-  }
-  // Reports that exactly mirror the master's map: applying them is pure
-  // reconciliation work, no command churn.
-  std::vector<std::pair<WorkerId, BlockReport>> reports(kWorkers);
-  for (int w = 0; w < kWorkers; ++w) reports[w].first = w;
-  std::map<MediumId, WorkerId> owner;
-  for (int w = 0; w < kWorkers; ++w) owner[media[w]] = w;
-  int blocks = 0;
-  master.block_manager().ForEach([&](const BlockRecord& record) {
-    ++blocks;
-    for (MediumId m : record.locations) {
-      ReplicaDescriptor r;
-      r.block = record.id;
-      r.genstamp = record.genstamp;
-      r.length = record.length;
-      r.finalized = true;
-      reports[owner[m]].second[m].push_back(r);
-    }
-  });
-
-  constexpr int kRounds = 200;
-  auto start = std::chrono::steady_clock::now();
-  for (int round = 0; round < kRounds; ++round) {
-    for (const auto& [worker, report] : reports) {
-      OCTO_CHECK_OK(master.ProcessBlockReport(worker, report));
-    }
-  }
-  double immediate = Seconds(start);
-  start = std::chrono::steady_clock::now();
-  for (int round = 0; round < kRounds; ++round) {
-    for (const auto& [worker, report] : reports) {
-      master.StageBlockReport(worker, report);
-    }
-    int applied = master.FlushStagedReports();
-    OCTO_CHECK(applied == kWorkers);
-  }
-  double staged = Seconds(start);
-
-  ReportBatchingResult result;
-  result.workers = kWorkers;
-  result.blocks = blocks;
-  result.immediate_reports_per_sec = kRounds * kWorkers / immediate;
-  result.staged_reports_per_sec = kRounds * kWorkers / staged;
+  std::filesystem::remove_all(meta_dir);
   return result;
 }
 
@@ -502,35 +409,20 @@ int main(int argc, char** argv) {
     slive_rows.push_back(SliveRow{threads, *std::move(result)});
   }
 
-  // Section C: group commit vs per-record flush (file-backed journal).
-  // The page-cache rows show the non-durable baseline; the fsync rows are
-  // the configuration group commit exists for — one fdatasync covering a
+  // Section C: group commit through the segmented journal. The
+  // page-cache row shows the non-durable baseline; the fsync row is the
+  // configuration group commit exists for — one fdatasync covering a
   // whole batch, with followers piling on while the leader syncs.
-  GroupCommitResult pc_per_record = RunGroupCommit(
-      &clock, /*sync_each_record=*/true, /*fsync=*/false, 8, 40000);
-  GroupCommitResult pc_grouped = RunGroupCommit(
-      &clock, /*sync_each_record=*/false, /*fsync=*/false, 8, 40000);
-  GroupCommitResult per_record = RunGroupCommit(
-      &clock, /*sync_each_record=*/true, /*fsync=*/true, 8, 4000);
-  GroupCommitResult grouped = RunGroupCommit(
-      &clock, /*sync_each_record=*/false, /*fsync=*/true, 8, 4000);
-  const GroupCommitResult* gc_rows[] = {&pc_per_record, &pc_grouped,
-                                        &per_record, &grouped};
-  for (const GroupCommitResult* r : gc_rows) {
+  const GroupCommitResult gc_rows[] = {
+      RunGroupCommit(&clock, /*fsync=*/false, 8, 40000),
+      RunGroupCommit(&clock, /*fsync=*/true, 8, 4000)};
+  for (const GroupCommitResult& r : gc_rows) {
     std::printf("journal   %-16s %-10s 8 threads: %8.0f creates/s  "
                 "%.3f flushes/record\n",
-                r->mode.c_str(), r->durability.c_str(), r->creates_per_sec,
-                r->flushes_per_record);
+                r.mode.c_str(), r.durability.c_str(), r.creates_per_sec,
+                r.flushes_per_record);
   }
   std::fflush(stdout);
-
-  // Section D: report batching.
-  ReportBatchingResult reports = RunReportBatching(&clock);
-  std::printf("reports   immediate %.0f/s  staged %.0f/s  (%d workers, %d "
-              "blocks)\n",
-              reports.immediate_reports_per_sec,
-              reports.staged_reports_per_sec, reports.workers,
-              reports.blocks);
 
   // Section E: allocation counts.
   AllocResult allocs = RunAllocCounts(big.get());
@@ -585,8 +477,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"group_commit\": [\n");
-  for (size_t i = 0; i < 4; ++i) {
-    const auto& r = *gc_rows[i];
+  for (size_t i = 0; i < std::size(gc_rows); ++i) {
+    const auto& r = gc_rows[i];
     std::fprintf(f,
                  "    {\"mode\": \"%s\", \"durability\": \"%s\", "
                  "\"threads\": %d, \"creates_per_sec\": %.1f, "
@@ -595,23 +487,10 @@ int main(int argc, char** argv) {
                  r.mode.c_str(), r.durability.c_str(), r.threads,
                  r.creates_per_sec, r.flushes_per_record,
                  static_cast<long long>(r.records),
-                 static_cast<long long>(r.flushes), i == 3 ? "" : ",");
+                 static_cast<long long>(r.flushes),
+                 i + 1 == std::size(gc_rows) ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"group_commit_speedup_8t\": %.3f,\n",
-               per_record.creates_per_sec > 0
-                   ? grouped.creates_per_sec / per_record.creates_per_sec
-                   : 0.0);
-  std::fprintf(f,
-               "  \"report_batching\": {\"workers\": %d, \"blocks\": %d, "
-               "\"immediate_reports_per_sec\": %.1f, "
-               "\"staged_reports_per_sec\": %.1f, "
-               "\"immediate_service_lock_acquisitions_per_round\": %d, "
-               "\"staged_service_lock_acquisitions_per_round\": 1},\n",
-               reports.workers, reports.blocks,
-               reports.immediate_reports_per_sec,
-               reports.staged_reports_per_sec, reports.workers);
   std::fprintf(f,
                "  \"allocations\": {\"resolve_allocs_per_op\": %.4f, "
                "\"journal_allocs_per_record\": %.4f},\n",

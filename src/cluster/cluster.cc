@@ -139,9 +139,8 @@ Status Cluster::PromoteBackup() {
     return Status::FailedPrecondition("primary still alive; crash it first");
   }
   MasterOptions options = master_options_;
-  // The promoted master journals afresh in memory; the dead primary's log
-  // file (or metadata directory) must not be appended to by two masters.
-  options.edit_log_path.clear();
+  // The promoted master journals afresh in memory; the dead primary's
+  // metadata directory must not be appended to by two masters.
   options.metadata_dir.clear();
   OCTO_ASSIGN_OR_RETURN(std::unique_ptr<Master> promoted,
                         backup_->TakeOver(options, clock_));

@@ -36,20 +36,13 @@ Master::Master(MasterOptions options, Clock* clock)
         ImageStore::Open(options_.metadata_dir, options_.images_retained);
     OCTO_CHECK(images.ok()) << images.status().ToString();
     images_ = std::move(images).value();
-  } else if (options_.edit_log_path.empty()) {
-    log_ = std::make_unique<EditLog>();
   } else {
-    auto opened = EditLog::Open(options_.edit_log_path);
-    OCTO_CHECK(opened.ok()) << opened.status().ToString();
-    log_ = std::move(opened).value();
+    log_ = std::make_unique<EditLog>();
   }
   MoopOptions moop;
   moop.mode = options_.placement_mode;
   placement_ = MakeMoopPolicy(moop);
   retrieval_ = MakeOctopusRetrievalPolicy();
-  // The Master group-commits: every mutation calls log_->Commit() before
-  // acknowledging, so the per-record flush would only add syscalls.
-  log_->SetSyncEachRecord(false);
 }
 
 void Master::SetPlacementPolicy(std::unique_ptr<PlacementPolicy> policy) {
@@ -317,53 +310,6 @@ Status Master::AckCommand(WorkerId worker, uint64_t command_id) {
 Status Master::ProcessBlockReport(WorkerId worker, const BlockReport& report,
                                   uint64_t reporter_epoch) {
   std::lock_guard<std::mutex> service(service_mu_);
-  return ApplyBlockReportLocked(worker, report, reporter_epoch);
-}
-
-void Master::StageBlockReport(WorkerId worker, BlockReport report,
-                              uint64_t reporter_epoch) {
-  std::lock_guard<std::mutex> staging(staging_mu_);
-  staged_reports_.push_back(
-      StagedBlockReport{worker, std::move(report), reporter_epoch});
-}
-
-void Master::StageHeartbeatStats(HeartbeatPayload hb) {
-  std::lock_guard<std::mutex> staging(staging_mu_);
-  staged_heartbeats_.push_back(std::move(hb));
-}
-
-int Master::FlushStagedReports() {
-  std::vector<HeartbeatPayload> heartbeats;
-  std::vector<StagedBlockReport> reports;
-  {
-    std::lock_guard<std::mutex> staging(staging_mu_);
-    heartbeats.swap(staged_heartbeats_);
-    reports.swap(staged_reports_);
-  }
-  if (heartbeats.empty() && reports.empty()) return 0;
-  int applied = 0;
-  std::lock_guard<std::mutex> service(service_mu_);
-  for (const HeartbeatPayload& hb : heartbeats) {
-    uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-    if (hb.master_epoch > epoch ||
-        (hb.master_epoch != 0 && hb.master_epoch < epoch)) {
-      continue;  // fenced: addressed to a different master incarnation
-    }
-    if (ApplyHeartbeatStatsLocked(hb).ok()) ++applied;
-  }
-  for (const StagedBlockReport& staged : reports) {
-    if (ApplyBlockReportLocked(staged.worker, staged.report,
-                               staged.reporter_epoch)
-            .ok()) {
-      ++applied;
-    }
-  }
-  return applied;
-}
-
-Status Master::ApplyBlockReportLocked(WorkerId worker,
-                                      const BlockReport& report,
-                                      uint64_t reporter_epoch) {
   if (reporter_epoch != 0 && reporter_epoch != epoch()) {
     // Fencing both ways: a report addressed to a predecessor of this
     // master (reporter ahead) or built for a deposed one (reporter

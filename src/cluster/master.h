@@ -116,14 +116,13 @@ struct MasterOptions {
   /// destroying them (HDFS trash parity); ExpungeTrash reclaims space.
   bool enable_trash = false;
   uint64_t seed = 42;
-  /// When set, the edit log is persisted to this file.
-  std::string edit_log_path;
   /// When set, the master's metadata lives in this directory as a
   /// segmented, checksummed edit log (EditLog::OpenSegmented) plus
   /// CRC-trailed checkpoint images (ImageStore): WriteCheckpoint() and
   /// RecoverFromLocalStorage() become available, and a journal write
   /// failure fail-stops the master into safe mode instead of dropping
-  /// acked edits. Takes precedence over edit_log_path.
+  /// acked edits. Empty = an in-memory journal (nothing survives the
+  /// process).
   std::string metadata_dir;
   /// How many checkpoint images metadata_dir retains. Keeping more than
   /// one lets recovery fall back to an older image (with a longer journal
@@ -191,9 +190,6 @@ struct MasterOptions {
 ///    structural section) and patched into the image afterwards. Recovery
 ///    loads the image in FsImage::Mode::kFuzzy and replays the tail in
 ///    ReplayMode::kRecovery, which absorbs the resulting overlap.
-///  - Heartbeat/block-report payloads may also be staged lock-free-ish via
-///    StageHeartbeatStats/StageBlockReport and folded in by a single
-///    FlushStagedReports call holding the service mutex once.
 ///
 /// Lock order (outermost first): namespace structure/stripe locks ->
 /// namespace-tree quota mutex -> service mutex -> lease/block stripe
@@ -279,22 +275,6 @@ class Master {
   /// exit so reconstruction cannot destroy data it has not yet accounted.
   Status ProcessBlockReport(WorkerId worker, const BlockReport& report,
                             uint64_t reporter_epoch = 0);
-
-  /// Batched-report ingestion: stages a full block report in a per-master
-  /// staging buffer (its own small mutex; never touches the service
-  /// mutex), to be applied later by FlushStagedReports. Lets many report
-  /// threads hand off work without convoying on the service lock.
-  void StageBlockReport(WorkerId worker, BlockReport report,
-                        uint64_t reporter_epoch = 0);
-  /// Stages the statistics portion of a heartbeat (liveness, capacity and
-  /// connection stats, media health) for batched application. Command
-  /// delivery and lease reaping still require the full Heartbeat call.
-  void StageHeartbeatStats(HeartbeatPayload hb);
-  /// Applies everything staged so far under one service-mutex critical
-  /// section. Returns the number of staged payloads applied (payloads
-  /// failing validation, e.g. epoch fencing, are dropped and counted as
-  /// not applied).
-  int FlushStagedReports();
 
   /// Marks workers without recent heartbeats dead; returns the newly dead.
   std::vector<WorkerId> CheckWorkerLiveness();
@@ -591,13 +571,6 @@ class Master {
     uint64_t genstamp = 0;
   };
 
-  /// A staged block report awaiting FlushStagedReports.
-  struct StagedBlockReport {
-    WorkerId worker = 0;
-    BlockReport report;
-    uint64_t reporter_epoch = 0;
-  };
-
   // All private helpers below are *Locked: they require service_mu_ to be
   // held by the caller (and, where they touch the tree, the appropriate
   // namespace lock).
@@ -606,9 +579,6 @@ class Master {
   /// heartbeat (no command delivery, lease reaping, or failed-media
   /// handling).
   Status ApplyHeartbeatStatsLocked(const HeartbeatPayload& hb);
-  /// Body of ProcessBlockReport.
-  Status ApplyBlockReportLocked(WorkerId worker, const BlockReport& report,
-                                uint64_t reporter_epoch);
   /// Body of ReportBadBlock.
   Status ReportBadBlockLocked(BlockId block, MediumId medium);
   /// Body of RunReplicationMonitor (also run when leaving safe mode).
@@ -721,11 +691,6 @@ class Master {
   /// pending_moves_, deferred_orphans_, lost_blocks_, and the id/epoch/
   /// genstamp allocators' journal ordering.
   mutable std::mutex service_mu_;
-  /// Guards only the staging buffers below; never held together with any
-  /// other lock.
-  std::mutex staging_mu_;
-  std::vector<HeartbeatPayload> staged_heartbeats_;
-  std::vector<StagedBlockReport> staged_reports_;
 
   /// Per-file access-statistics buffer for the tiering engine. access_mu_
   /// is a leaf in the lock order (acquired under service_mu_ when folding

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 
 #include "common/strings.h"
 #include "storage/checksum.h"
@@ -170,32 +171,6 @@ EditLog::EditLog() { scratch_.reserve(256); }
 
 EditLog::~EditLog() {
   if (fd_ >= 0) ::close(fd_);
-}
-
-bool EditLog::FlushFile() {
-  out_.flush();
-  if (fsync_on_flush_ && fd_ >= 0) {
-    if (::fdatasync(fd_) != 0) return false;
-  }
-  return out_.good();
-}
-
-Result<std::unique_ptr<EditLog>> EditLog::Open(const std::string& path) {
-  auto log = std::make_unique<EditLog>();
-  log->file_path_ = path;
-  std::ifstream in(path);
-  if (in) {
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) log->entries_.push_back(line);
-    }
-  }
-  log->out_.open(path, std::ios::app);
-  if (!log->out_) {
-    return Status::IoError("cannot open edit log for append: " + path);
-  }
-  log->durable_records_ = log->entries_.size();
-  return log;
 }
 
 Result<std::unique_ptr<EditLog>> EditLog::OpenSegmented(
@@ -402,35 +377,10 @@ Status EditLog::SyncSegment() {
   return Status::OK();
 }
 
-void EditLog::AppendScratchLocked() {
-  entries_.push_back(scratch_);
-  if (!sync_each_record_) return;
-  if (segmented_) {
-    if (!io_error_.ok()) return;  // fail-stop: Commit() reports the error
-    frame_buf_.clear();
-    AppendFrame(&frame_buf_, scratch_);
-    Status st = WriteFramesToSegment(frame_buf_.data(), frame_buf_.size());
-    if (st.ok()) st = SyncSegment();
-    if (st.ok()) {
-      durable_records_ = entries_.size();
-    } else {
-      io_error_ = st;
-    }
-    ++sync_count_;
-  } else if (!file_path_.empty()) {
-    if (!io_error_.ok()) return;
-    out_ << scratch_ << '\n';
-    if (FlushFile()) {
-      durable_records_ = entries_.size();
-    } else {
-      io_error_ = Status::IoError("edit log flush failed: " + file_path_);
-    }
-    ++sync_count_;
-  }
-}
+void EditLog::AppendScratchLocked() { entries_.push_back(scratch_); }
 
 Status EditLog::Commit() {
-  if (!persistent()) return Status::OK();
+  if (!segmented_) return Status::OK();
   std::unique_lock<std::mutex> lock(mu_);
   if (!io_error_.ok()) return io_error_;
   size_t target = entries_.size();
@@ -449,18 +399,10 @@ Status EditLog::Commit() {
                 entries_.end());
   size_t new_durable = entries_.size();
   lock.unlock();
-  Status st;
-  if (segmented_) {
-    leader_buf_.clear();
-    for (const std::string& line : batch_) AppendFrame(&leader_buf_, line);
-    st = WriteFramesToSegment(leader_buf_.data(), leader_buf_.size());
-    if (st.ok()) st = SyncSegment();
-  } else {
-    for (const std::string& line : batch_) out_ << line << '\n';
-    st = FlushFile()
-             ? Status::OK()
-             : Status::IoError("edit log flush failed: " + file_path_);
-  }
+  leader_buf_.clear();
+  for (const std::string& line : batch_) AppendFrame(&leader_buf_, line);
+  Status st = WriteFramesToSegment(leader_buf_.data(), leader_buf_.size());
+  if (st.ok()) st = SyncSegment();
   lock.lock();
   if (st.ok()) {
     durable_records_ = new_durable;
@@ -596,17 +538,9 @@ Status EditLog::PurgeSegmentsBefore(int64_t txid) {
   return Status::OK();
 }
 
-void EditLog::SetSyncEachRecord(bool sync_each_record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sync_each_record_ = sync_each_record;
-}
-
 void EditLog::SetFsyncOnFlush(bool fsync_on_flush) {
   std::lock_guard<std::mutex> lock(mu_);
   fsync_on_flush_ = fsync_on_flush;
-  if (!segmented_ && fsync_on_flush_ && fd_ < 0 && !file_path_.empty()) {
-    fd_ = ::open(file_path_.c_str(), O_WRONLY | O_CREAT, 0644);
-  }
 }
 
 void EditLog::SetWriteFaultHook(std::function<WriteFault()> hook) {
@@ -793,32 +727,6 @@ void EditLog::LogGenstamp(uint64_t genstamp) {
   AppendScratchLocked();
 }
 
-Status EditLog::Truncate() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Let an in-flight group commit finish before yanking the file.
-  while (sync_active_) sync_cv_.wait(lock);
-  entries_.clear();
-  checkpointed_ = 0;
-  durable_records_ = 0;
-  if (segmented_) {
-    for (const Segment& seg : segments_) ::unlink(seg.path.c_str());
-    segments_.clear();
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    ::unlink(seg_path_.c_str());
-    base_txid_ = 0;
-    return StartSegment(0);
-  }
-  if (!file_path_.empty()) {
-    out_.close();
-    out_.open(file_path_, std::ios::trunc);
-    if (!out_) return Status::IoError("cannot truncate " + file_path_);
-  }
-  return Status::OK();
-}
-
 Status EditLog::Replay(const std::vector<std::string>& entries, int64_t from,
                        NamespaceTree* tree, EditReplayInfo* info,
                        ReplayMode mode) {
@@ -837,13 +745,9 @@ Status EditLog::Replay(const std::vector<std::string>& entries, int64_t from,
       if (st.ok() && info != nullptr) {
         info->lease_holders[f[1]] = f.size() == 6 ? f[5] : "";
       }
-    } else if (op == "ADDBLOCK" && (f.size() == 4 || f.size() == 5)) {
-      // The 5th field (generation stamp) was added with block recovery;
-      // 4-field records from older logs replay with genstamp 0.
-      BlockInfo block{ParseI64(f[2]), ParseI64(f[3])};
-      if (f.size() == 5) {
-        block.genstamp = static_cast<uint64_t>(ParseI64(f[4]));
-      }
+    } else if (op == "ADDBLOCK" && f.size() == 5) {
+      BlockInfo block{ParseI64(f[2]), ParseI64(f[3]),
+                      static_cast<uint64_t>(ParseI64(f[4]))};
       bool already_present = false;
       if (mode == ReplayMode::kRecovery) {
         // A fuzzy image may already carry this block; AddBlock appends

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -64,28 +63,25 @@ enum class ReplayMode { kStrict, kRecovery };
 /// for every successful mutation; recovery and Backup Masters replay
 /// records on top of the last checkpoint to reconstruct the namespace.
 ///
-/// Two backing stores exist:
-///  - Open(path): the legacy single-file text log — one raw line per
-///    record, no framing, no integrity checks. Kept so journals written
-///    by earlier builds still load, and for tests that inspect the file.
-///  - OpenSegmented(dir): HDFS-style segments. Finalized segments are
-///    named `edits_<first>-<last>`, the tail being written is
-///    `edits_inprogress_<first>` (txids are 0-based record indexes).
-///    Every record — and a per-segment header — is framed as
-///    `<len>\t<crc32c hex8>\t<payload>\n`. On open, a torn or bit-flipped
-///    tail of the in-progress segment is truncated back to the last valid
-///    frame (the longest valid prefix wins; nothing past the first bad
-///    frame is ever accepted), while any damage inside a finalized
-///    segment is a hard Status::Corruption — finalized segments were
-///    fsynced before their rename, so damage there is not a crash
-///    artifact. RollSegment() finalizes the tail (fdatasync + rename +
-///    directory fsync) and opens a fresh in-progress segment; the Master
-///    rolls at each checkpoint so recovery is image + later segments.
+/// A journal is either in-memory (EditLog(): test clusters, promoted
+/// masters) or segmented on disk (OpenSegmented(dir)), HDFS-style.
+/// Finalized segments are named `edits_<first>-<last>`, the tail being
+/// written is `edits_inprogress_<first>` (txids are 0-based record
+/// indexes). Every record — and a per-segment header — is framed as
+/// `<len>\t<crc32c hex8>\t<payload>\n`. On open, a torn or bit-flipped
+/// tail of the in-progress segment is truncated back to the last valid
+/// frame (the longest valid prefix wins; nothing past the first bad frame
+/// is ever accepted), while any damage inside a finalized segment is a
+/// hard Status::Corruption — finalized segments were fsynced before their
+/// rename, so damage there is not a crash artifact. RollSegment()
+/// finalizes the tail (fdatasync + rename + directory fsync) and opens a
+/// fresh in-progress segment; the Master rolls at each checkpoint so
+/// recovery is image + later segments.
 ///
 /// Threading contract: the typed Log* appenders, Commit(), SyncToDisk(),
 /// RollSegment(), ReadEntries(), size(), durable_records(), sync_count(),
-/// checkpointed()/MarkCheckpointed(), PurgeSegmentsBefore(), and
-/// Truncate() are thread-safe. A mutation's record must be appended while
+/// checkpointed()/MarkCheckpointed() and PurgeSegmentsBefore() are
+/// thread-safe. A mutation's record must be appended while
 /// the caller still holds that path's namespace lock, so the journal
 /// order equals the linearization order that failover replay
 /// reconstructs; Commit() (durability) may — and for lock-ordering
@@ -93,13 +89,11 @@ enum class ReplayMode { kStrict, kRecovery };
 /// before the mutation is acked. entries() returns a reference into
 /// internal state and is only safe when no appender is running
 /// (replay/checkpoint paths, tests); concurrent readers use
-/// ReadEntries(). SetSyncEachRecord/SetFsyncOnFlush/SetWriteFaultHook
-/// are configuration and must be called before concurrent use.
+/// ReadEntries(). SetFsyncOnFlush/SetWriteFaultHook are configuration
+/// and must be called before concurrent use.
 ///
-/// Durability and failure: with sync_each_record (the default) every
-/// append is written and flushed immediately, and Commit() only reports
-/// status. With it off, appends only buffer and Commit() runs a group
-/// commit: one caller becomes the leader and flushes every record
+/// Durability and failure: appends only buffer in memory; Commit() runs a
+/// group commit: one caller becomes the leader and flushes every record
 /// appended so far in a single write, while concurrent appenders keep
 /// accumulating the next batch; callers whose records a leader already
 /// covered return without touching the file. Any write, flush, or fsync
@@ -121,10 +115,6 @@ class EditLog {
 
   /// In-memory journal.
   EditLog();
-
-  /// Legacy file-backed journal: records are appended to `path` as raw
-  /// lines; existing records are loaded into memory first.
-  static Result<std::unique_ptr<EditLog>> Open(const std::string& path);
 
   /// Segmented, checksummed journal stored in `dir` (created if missing;
   /// fsimage_* files in the same directory are ignored). Loads all
@@ -179,8 +169,8 @@ class EditLog {
   /// RollSegment() always fsyncs the closing segment, and pre-paying
   /// that sync here (kernel wait runs with internal locks released, like
   /// a group-commit leader) shrinks the in-lock sync to whatever few
-  /// records arrive in between. No-op for in-memory and legacy
-  /// single-file logs. Write/sync failures are sticky like Commit()'s.
+  /// records arrive in between. No-op for in-memory logs. Write/sync
+  /// failures are sticky like Commit()'s.
   Status SyncToDisk();
 
   /// Finalizes the in-progress segment (flushing any undurable suffix
@@ -197,10 +187,6 @@ class EditLog {
   /// back to an older image still finds its replay tail.
   Status PurgeSegmentsBefore(int64_t txid);
 
-  /// Toggles per-record flushing (on by default). Turn off to enable
-  /// group commit via Commit(). Only meaningful for file-backed logs.
-  void SetSyncEachRecord(bool sync_each_record);
-
   /// When on, every flush is followed by fdatasync so records survive a
   /// host crash, not just a process crash (off by default: flushes reach
   /// the page cache only). This is where group commit pays off — a
@@ -208,7 +194,7 @@ class EditLog {
   /// because the syncing leader blocks in the kernel, concurrent
   /// mutators pile their records into the next batch. Segment
   /// finalization always fsyncs regardless of this setting. Only
-  /// meaningful for file-backed logs.
+  /// meaningful for segmented logs.
   void SetFsyncOnFlush(bool fsync_on_flush);
 
   /// Installs a hook consulted before every physical journal write; the
@@ -219,11 +205,11 @@ class EditLog {
   /// The sticky error from the first failed write/flush, or OK.
   Status last_io_error() const;
 
-  /// Number of physical flushes performed so far (one per record in
-  /// sync_each_record mode, one per batch under group commit).
+  /// Number of physical flushes performed so far (one per group-commit
+  /// batch).
   int64_t sync_count() const;
   /// End txid of the durable prefix: every record with txid below this
-  /// has been written to the backing file.
+  /// has been written to the in-progress segment.
   int64_t durable_records() const;
 
   /// Only safe when no appender runs concurrently (see class comment),
@@ -247,11 +233,6 @@ class EditLog {
   int64_t checkpointed() const;
   void MarkCheckpointed(int64_t up_to);
 
-  /// Drops all records and resets txids to 0 (after a legacy full
-  /// checkpoint). Truncates the backing file when present; a segmented
-  /// log deletes every segment and starts a fresh one.
-  Status Truncate();
-
   /// Applies records [from, entries.size()) to `tree` with superuser
   /// rights. `from` indexes into `entries` (callers with a purged log
   /// pass the ReadEntries() copy and a rebased offset). Stops at the
@@ -272,11 +253,6 @@ class EditLog {
   // Appends scratch_ as one record; called with mu_ held.
   void AppendScratchLocked();
 
-  // Flushes out_ and, when fsync_on_flush_ is set, fdatasyncs the backing
-  // file; called with mu_ released (leader) or held (per-record mode).
-  // Legacy backend only.
-  bool FlushFile();
-
   // Segmented write helpers. They touch fd_/seg_bytes_ which are guarded
   // by "mu_ held, or being the active group-commit leader" — the leader
   // runs with mu_ released but sync_active_ keeps every other file
@@ -288,17 +264,12 @@ class EditLog {
   Status RecoverInProgressSegment(int64_t first, const std::string& path);
   Status LoadFinalizedSegment(const Segment& seg);
 
-  bool persistent() const { return segmented_ || !file_path_.empty(); }
-
   mutable std::mutex mu_;
   std::condition_variable sync_cv_;
   std::vector<std::string> entries_;  // records [base_txid_, size())
   int64_t checkpointed_ = 0;
-  std::string file_path_;  // legacy backend; empty otherwise
-  std::ofstream out_;      // legacy backend stream
-  int fd_ = -1;            // segment fd (segmented) / fdatasync fd (legacy)
+  int fd_ = -1;  // in-progress segment fd
   bool fsync_on_flush_ = false;
-  bool sync_each_record_ = true;
   bool sync_active_ = false;     // a group-commit leader is flushing
   size_t durable_records_ = 0;   // relative to base_txid_
   int64_t sync_count_ = 0;
@@ -314,7 +285,7 @@ class EditLog {
   int64_t seg_first_ = 0;          // first txid of the in-progress segment
   std::string seg_path_;
   int64_t seg_bytes_ = 0;  // valid frame bytes in the in-progress file
-  std::string frame_buf_;  // reused per-record frame buffer (under mu_)
+  std::string frame_buf_;  // reused frame buffer (under mu_)
   Status io_error_ = Status::OK();  // sticky first write failure
   std::function<WriteFault()> write_fault_hook_;
 };

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/strings.h"
@@ -14,6 +13,9 @@ namespace octo {
 namespace {
 
 const UserContext kSuperuser{"root", {}};
+
+// The only image format this build reads or writes.
+constexpr char kHeaderLine[] = "OCTO_FSIMAGE\t2";
 
 int64_t ParseI64(const std::string& s) {
   return std::strtoll(s.c_str(), nullptr, 10);
@@ -49,7 +51,7 @@ int HexNibble(char c) {
 }
 
 // Decodes %XX escapes written by AppendEscaped. A bare or malformed '%'
-// is corruption: version-2 serializers always escape '%'.
+// is corruption: the serializer always escapes '%'.
 bool Unescape(const std::string& field, std::string* out) {
   out->clear();
   for (size_t i = 0; i < field.size(); ++i) {
@@ -69,7 +71,7 @@ bool Unescape(const std::string& field, std::string* out) {
 
 }  // namespace
 
-std::string FsImage::Header() { return "OCTO_FSIMAGE\t2\n"; }
+std::string FsImage::Header() { return std::string(kHeaderLine) + "\n"; }
 
 void FsImage::AppendEntry(std::string* out,
                           const NamespaceTree::VisitEntry& entry) {
@@ -129,24 +131,15 @@ std::string FsImage::Serialize(const NamespaceTree& tree) {
   return out;
 }
 
-Status FsImage::Save(const NamespaceTree& tree, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IoError("cannot open fsimage for write: " + path);
-  out << Serialize(tree);
-  out.close();
-  if (!out) return Status::IoError("short write to fsimage " + path);
-  return Status::OK();
-}
-
 Status FsImage::Deserialize(const std::string& image, NamespaceTree* tree,
                             Mode mode) {
   std::istringstream in(image);
   std::string line;
-  if (!std::getline(in, line) || !StartsWith(line, "OCTO_FSIMAGE\t")) {
-    return Status::Corruption("fsimage missing header");
+  if (!std::getline(in, line) || line != kHeaderLine) {
+    return Status::Corruption("fsimage header is not " +
+                              std::string(kHeaderLine) + ": " +
+                              line.substr(0, 32));
   }
-  // Version 1 predates field escaping; its fields are verbatim.
-  const bool escaped = ParseI64(line.substr(13)) >= 2;
   const bool fuzzy = mode == Mode::kFuzzy;
   int line_no = 1;
   std::string path;
@@ -157,18 +150,8 @@ Status FsImage::Deserialize(const std::string& image, NamespaceTree* tree,
     if (line.empty()) continue;
     std::vector<std::string> f = Split(line, '\t');
     Status st;
-    bool field_ok = true;
-    if (f.size() >= 4) {
-      if (escaped) {
-        field_ok = Unescape(f[1], &path) && Unescape(f[2], &owner) &&
-                   Unescape(f[3], &group);
-      } else {
-        path = f[1];
-        owner = f[2];
-        group = f[3];
-      }
-    }
-    if (!field_ok) {
+    if (f.size() >= 4 && !(Unescape(f[1], &path) && Unescape(f[2], &owner) &&
+                           Unescape(f[3], &group))) {
       return Status::Corruption("fsimage line " + std::to_string(line_no) +
                                 ": malformed field escape");
     }
@@ -216,20 +199,14 @@ Status FsImage::Deserialize(const std::string& image, NamespaceTree* tree,
                                   ": block count mismatch");
       }
       for (size_t i = 0; i < num_blocks; ++i) {
-        const std::string& pair = f[10 + i];
-        size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
+        // id:length:genstamp
+        std::vector<std::string> parts = Split(f[10 + i], ':');
+        if (parts.size() != 3) {
           return Status::Corruption("fsimage line " + std::to_string(line_no) +
-                                    ": bad block entry " + pair);
+                                    ": bad block entry " + f[10 + i]);
         }
-        // id:length, with an optional :genstamp third part (images written
-        // before block recovery landed carry only two).
-        std::string rest = pair.substr(colon + 1);
-        size_t colon2 = rest.find(':');
-        BlockInfo b{ParseI64(pair.substr(0, colon)), ParseI64(rest)};
-        if (colon2 != std::string::npos) {
-          b.genstamp = static_cast<uint64_t>(ParseI64(rest.substr(colon2 + 1)));
-        }
+        BlockInfo b{ParseI64(parts[0]), ParseI64(parts[1]),
+                    static_cast<uint64_t>(ParseI64(parts[2]))};
         st = tree->AddBlock(path, b);
         if (!st.ok()) return st;
       }
@@ -248,14 +225,6 @@ Status FsImage::Deserialize(const std::string& image, NamespaceTree* tree,
     }
   }
   return Status::OK();
-}
-
-Status FsImage::Load(const std::string& path, NamespaceTree* tree) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open fsimage " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str(), tree);
 }
 
 }  // namespace octo

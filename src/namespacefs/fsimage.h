@@ -15,11 +15,12 @@ namespace octo {
 /// checkpoint.
 ///
 /// Format: one inode per tab-separated text line, after an
-/// `OCTO_FSIMAGE\t<version>` header. Version 2 percent-escapes control
-/// bytes ('%XX' for bytes < 0x20, 0x7f, and '%' itself) in the path,
-/// owner, and group fields so hostile names cannot forge line or field
-/// boundaries; version-1 images (written before the escaping existed)
-/// still load, with their fields taken verbatim.
+/// `OCTO_FSIMAGE\t2` header; any other header is Status::Corruption.
+/// Control bytes ('%XX' for bytes < 0x20, 0x7f, and '%' itself) are
+/// percent-escaped in the path, owner, and group fields so hostile names
+/// cannot forge line or field boundaries. A file's blocks are
+/// `id:length:genstamp` fields. This class only (de)serializes strings;
+/// ImageStore is the durable (atomic, CRC-trailed) image writer.
 class FsImage {
  public:
   /// How Deserialize reacts to a line whose inode already exists.
@@ -31,11 +32,6 @@ class FsImage {
   /// *replaces* the previous content (delete + re-apply), because later
   /// lines were captured later and the patch is authoritative.
   enum class Mode { kStrict, kFuzzy };
-
-  /// Writes `tree` to `path` (text format, one inode per line). NOT
-  /// atomic or checksummed — ImageStore wraps this format for durable
-  /// master checkpoints; this entry point remains for tools and tests.
-  static Status Save(const NamespaceTree& tree, const std::string& path);
 
   /// Serializes `tree` to a string (used for in-memory checkpoints).
   static std::string Serialize(const NamespaceTree& tree);
@@ -50,12 +46,8 @@ class FsImage {
   static void AppendEntry(std::string* out,
                           const NamespaceTree::VisitEntry& entry);
 
-  /// Reconstructs a namespace from a checkpoint file into `tree`, which
-  /// must be freshly constructed.
-  static Status Load(const std::string& path, NamespaceTree* tree);
-
-  /// Reconstructs from a serialized string (see Mode for duplicate
-  /// handling).
+  /// Reconstructs a namespace from a serialized image into `tree`, which
+  /// must be freshly constructed (see Mode for duplicate handling).
   static Status Deserialize(const std::string& image, NamespaceTree* tree,
                             Mode mode = Mode::kStrict);
 };

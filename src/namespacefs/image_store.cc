@@ -146,7 +146,10 @@ Status ImageStore::WriteImage(int64_t txid, const std::string& payload) {
   }
   OCTO_RETURN_IF_ERROR(FsyncDir(dir_));
 
-  txids_.insert(std::upper_bound(txids_.begin(), txids_.end(), txid), txid);
+  // Rewriting an image at a txid already held replaces that file; it must
+  // not count twice and push an older fallback image out of retention.
+  auto pos = std::lower_bound(txids_.begin(), txids_.end(), txid);
+  if (pos == txids_.end() || *pos != txid) txids_.insert(pos, txid);
   while (txids_.size() > static_cast<size_t>(retain_)) {
     ::unlink(ImagePath(txids_.front()).c_str());
     txids_.erase(txids_.begin());

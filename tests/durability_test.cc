@@ -523,27 +523,22 @@ TEST(FsImageHardeningTest, RandomizedRoundTripFuzz) {
   }
 }
 
-TEST(FsImageHardeningTest, LegacyV1ImagesStillLoadVerbatim) {
+TEST(FsImageHardeningTest, LegacyV1ImagesAreRejected) {
   // A version-1 image (written before field escaping existed) is the
-  // version-2 body with escape-free names and a "1" in the header.
+  // version-2 body with a "1" in the header. Its unescaped fields could
+  // not be told apart from escapes, so it is Corruption, not guessed at.
   ManualClock clock;
   NamespaceTree tree(&clock);
   ASSERT_TRUE(tree.Mkdirs("/legacy/dir", kRoot).ok());
   ASSERT_TRUE(tree.CreateFile("/legacy/file", ReplicationVector::OfTotal(1),
                               kDefaultBlockSize, false, kRoot)
                   .ok());
-  ASSERT_TRUE(tree.SetQuota("/legacy", kTotalSpaceSlot, 1 << 20).ok());
-  std::string v2 = FsImage::Serialize(tree);
-  std::string v1 = v2;
+  std::string v1 = FsImage::Serialize(tree);
   const std::string header = "OCTO_FSIMAGE\t2\n";
   ASSERT_EQ(v1.compare(0, header.size(), header), 0);
   v1[header.size() - 2] = '1';
-  ManualClock clock2;
-  NamespaceTree loaded(&clock2);
-  ASSERT_TRUE(FsImage::Deserialize(v1, &loaded).ok());
-  EXPECT_TRUE(loaded.Exists("/legacy/dir"));
-  // Reserializing upgrades the header but preserves every inode.
-  EXPECT_EQ(FsImage::Serialize(loaded), v2);
+  NamespaceTree loaded(&clock);
+  EXPECT_TRUE(FsImage::Deserialize(v1, &loaded).IsCorruption());
 }
 
 // ---------------------------------------------------------------------------
@@ -566,6 +561,11 @@ TEST(ImageStoreTest, RoundTripRetentionAndFallbackOrder) {
   auto reopened = ImageStore::Open(dir.str(), 2);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->ListImages(), (std::vector<int64_t>{15, 10}));
+  // Rewriting the newest image (a checkpoint with no new journal records)
+  // replaces it in place; the older fallback stays retained.
+  ASSERT_TRUE((*reopened)->WriteImage(15, "image-at-15-again").ok());
+  EXPECT_EQ((*reopened)->ListImages(), (std::vector<int64_t>{15, 10}));
+  EXPECT_TRUE(fs::exists(dir.path() / "fsimage_10"));
 }
 
 TEST(ImageStoreTest, OnDiskDamageIsDetected) {

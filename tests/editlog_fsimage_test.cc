@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "common/clock.h"
 #include "common/random.h"
 #include "namespacefs/edit_log.h"
@@ -107,30 +105,6 @@ TEST(EditLogTest, MalformedRecordReported) {
   EXPECT_TRUE(EditLog::Replay({"MKDIR"}, 0, &tree).IsCorruption());
 }
 
-TEST(EditLogTest, FileBackedLogPersists) {
-  auto path = std::filesystem::temp_directory_path() / "octo_editlog_test";
-  std::filesystem::remove(path);
-  {
-    auto log = EditLog::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    (*log)->LogMkdirs("/persisted");
-    (*log)->LogRename("/a", "/b");
-  }
-  {
-    auto log = EditLog::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    ASSERT_EQ((*log)->size(), 2);
-    EXPECT_EQ((*log)->entries()[0], "MKDIR\t/persisted");
-    ASSERT_TRUE((*log)->Truncate().ok());
-  }
-  {
-    auto log = EditLog::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    EXPECT_EQ((*log)->size(), 0);
-  }
-  std::filesystem::remove(path);
-}
-
 // Property: a random operation sequence replayed from the journal yields a
 // byte-identical fsimage.
 class JournalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -222,25 +196,41 @@ TEST(FsImageTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(loaded.GetBlocks("/data/f")->size(), 1u);
 }
 
-TEST(FsImageTest, SaveLoadFile) {
-  auto path = std::filesystem::temp_directory_path() / "octo_fsimage_test";
-  ManualClock clock;
-  NamespaceTree tree(&clock);
-  ASSERT_TRUE(tree.Mkdirs("/x/y", kRoot).ok());
-  ASSERT_TRUE(FsImage::Save(tree, path.string()).ok());
-  NamespaceTree loaded(&clock);
-  ASSERT_TRUE(FsImage::Load(path.string(), &loaded).ok());
-  EXPECT_TRUE(loaded.Exists("/x/y"));
-  std::filesystem::remove(path);
-}
-
 TEST(FsImageTest, RejectsCorruptImages) {
   ManualClock clock;
   NamespaceTree tree(&clock);
   EXPECT_TRUE(FsImage::Deserialize("garbage", &tree).IsCorruption());
   NamespaceTree tree2(&clock);
-  EXPECT_TRUE(FsImage::Deserialize("OCTO_FSIMAGE\t1\nZ\tbad\n", &tree2)
+  EXPECT_TRUE(FsImage::Deserialize("OCTO_FSIMAGE\t2\nZ\tbad\n", &tree2)
                   .IsCorruption());
+  // Two-part (id:length) block entries are malformed.
+  NamespaceTree tree3(&clock);
+  EXPECT_TRUE(FsImage::Deserialize("OCTO_FSIMAGE\t2\n"
+                                   "F\t/f\troot\t\t420\t0\t3\t1024\t0\t1"
+                                   "\t9:4096\n",
+                                   &tree3)
+                  .IsCorruption());
+
+  // Only the exact version-2 header is accepted: a valid body under any
+  // other version is Corruption, not read in some guessed format.
+  NamespaceTree source(&clock);
+  ASSERT_TRUE(source.Mkdirs("/data", kRoot).ok());
+  ASSERT_TRUE(source.CreateFile("/data/f", ReplicationVector::OfTotal(2),
+                                64 * 1024, false, kRoot)
+                  .ok());
+  ASSERT_TRUE(source.AddBlock("/data/f", BlockInfo{9, 4096, 3}).ok());
+  ASSERT_TRUE(source.CompleteFile("/data/f").ok());
+  const std::string image = FsImage::Serialize(source);
+  const std::string body = image.substr(FsImage::Header().size());
+
+  NamespaceTree control(&clock);
+  ASSERT_TRUE(FsImage::Deserialize(image, &control).ok());
+  for (const char* header :
+       {"OCTO_FSIMAGE\t1\n", "OCTO_FSIMAGE\t3\n", "OCTO_FSIMAGE\tx\n"}) {
+    NamespaceTree tree(&clock);
+    EXPECT_TRUE(FsImage::Deserialize(header + body, &tree).IsCorruption())
+        << header;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 // Linearizability stress tests for the concurrent metadata plane:
 // concurrent rename/delete racing Open/GetBlockLocations/ls over
 // overlapping subtrees, exactly-once journaling of acked mutations,
-// journal-replay equivalence, group-commit durability, and staged vs
-// immediate block-report application.
+// journal-replay equivalence, and group-commit durability.
 //
 // Runs seeded (deterministic per-thread op sequences) by default; set
 // OCTO_STRESS_FREE_RUNNING=1 to let every thread loop on wall-clock time
@@ -10,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -252,17 +252,18 @@ TEST(MetadataConcurrency, ConcurrentStormReplaysToIdenticalNamespace) {
   EXPECT_EQ(paths_of(master->namespace_tree()), paths_of(replayed));
 }
 
-// Group commit durability: with the Master's default batched journal,
-// after every mutation is acked the backing file holds every record,
-// replays cleanly, and needed no more than one flush per record.
+// Group commit durability: after every mutation is acked the segmented
+// journal on disk holds every record, replays cleanly, and needed no more
+// than one flush per record.
 TEST(MetadataConcurrency, GroupCommitDurableAndReplayable) {
-  std::string log_path =
-      ::testing::TempDir() + "/octo_metadata_concurrency_gc.log";
-  std::remove(log_path.c_str());
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      "octo_metadata_concurrency_gc";
+  std::filesystem::remove_all(dir);
   {
     SystemClock clock;
     MasterOptions options;
-    options.edit_log_path = log_path;
+    options.metadata_dir = dir.string();
     Master master(options, &clock);
     constexpr int kThreads = 8;
     const int kPerThread = Iters(150);
@@ -289,8 +290,8 @@ TEST(MetadataConcurrency, GroupCommitDurableAndReplayable) {
               master.edit_log()->size());
     EXPECT_LE(master.edit_log()->sync_count(), master.edit_log()->size());
   }
-  // Reopen from disk: the file carries a full, replayable journal.
-  auto reopened = EditLog::Open(log_path);
+  // Reopen from disk: the segments carry a full, replayable journal.
+  auto reopened = EditLog::OpenSegmented(dir.string());
   ASSERT_TRUE(reopened.ok());
   SystemClock replay_clock;
   NamespaceTree replayed(&replay_clock);
@@ -300,94 +301,8 @@ TEST(MetadataConcurrency, GroupCommitDurableAndReplayable) {
     if (!e.status.is_dir) ++files;
   });
   EXPECT_EQ(files, 8 * Iters(150));
-  std::remove(log_path.c_str());
-}
-
-// Staged report application is equivalent to immediate application: the
-// same reports produce the same block map.
-TEST(MetadataConcurrency, StagedReportsMatchImmediateApplication) {
-  SystemClock clock;
-  auto setup = [&](Master* master) {
-    master->DefineTier({kHddTier, "HDD", MediaType::kHdd});
-    std::vector<MediumId> media;
-    for (int w = 0; w < 4; ++w) {
-      auto worker = master->RegisterWorker(
-          NetworkLocation("r0", "n" + std::to_string(w)), 1e9);
-      ASSERT_TRUE(worker.ok());
-      MediumSpec spec;
-      spec.tier = kHddTier;
-      spec.type = MediaType::kHdd;
-      spec.capacity_bytes = 64 * kGiB;
-      spec.write_bps = FromMBps(100);
-      spec.read_bps = FromMBps(150);
-      ASSERT_TRUE(master->RegisterMedium(*worker, spec, {}).ok());
-    }
-    ASSERT_TRUE(master->Mkdirs("/eq", kUser).ok());
-    for (int f = 0; f < 32; ++f) {
-      std::string path = "/eq/f" + std::to_string(f);
-      ASSERT_TRUE(master
-                      ->Create(path, ReplicationVector::OfTotal(2), 64 * kMiB,
-                               false, kUser, "w")
-                      .ok());
-      auto located = master->AddBlock(path, "w", NetworkLocation());
-      ASSERT_TRUE(located.ok());
-      std::vector<MediumId> succeeded;
-      for (const PlacedReplica& r : located->locations) {
-        succeeded.push_back(r.medium);
-      }
-      ASSERT_TRUE(master
-                      ->CommitBlock(path, "w", located->block.id, 64 * kMiB,
-                                    succeeded, located->block.genstamp)
-                      .ok());
-      ASSERT_TRUE(master->CompleteFile(path, "w").ok());
-    }
-  };
-  Master immediate(MasterOptions{}, &clock);
-  Master staged(MasterOptions{}, &clock);
-  setup(&immediate);
-  setup(&staged);
-
-  // Identical reports for both masters: every replica each worker's media
-  // currently hold, minus one block to exercise removal reconciliation.
-  auto build_reports = [](Master* master) {
-    std::map<WorkerId, BlockReport> reports;
-    std::map<MediumId, WorkerId> owner;
-    for (const auto& [id, medium] : master->cluster_state().media()) {
-      owner[id] = medium.worker;
-    }
-    master->block_manager().ForEach([&](const BlockRecord& record) {
-      if (record.id % 7 == 0) return;  // withheld: reported missing
-      for (MediumId m : record.locations) {
-        ReplicaDescriptor r;
-        r.block = record.id;
-        r.genstamp = record.genstamp;
-        r.length = record.length;
-        reports[owner[m]][m].push_back(r);
-      }
-    });
-    return reports;
-  };
-  auto immediate_reports = build_reports(&immediate);
-  auto staged_reports = build_reports(&staged);
-
-  for (const auto& [worker, report] : immediate_reports) {
-    ASSERT_TRUE(immediate.ProcessBlockReport(worker, report).ok());
-  }
-  for (const auto& [worker, report] : staged_reports) {
-    staged.StageBlockReport(worker, report);
-  }
-  EXPECT_EQ(staged.FlushStagedReports(),
-            static_cast<int>(staged_reports.size()));
-
-  auto snapshot = [](Master* master) {
-    std::map<BlockId, std::multiset<MediumId>> locations;
-    master->block_manager().ForEach([&](const BlockRecord& record) {
-      locations[record.id] = {record.locations.begin(),
-                              record.locations.end()};
-    });
-    return locations;
-  };
-  EXPECT_EQ(snapshot(&immediate), snapshot(&staged));
+  reopened->reset();
+  std::filesystem::remove_all(dir);
 }
 
 // Mixed storm across overlapping subtrees: seeded per-thread sequences

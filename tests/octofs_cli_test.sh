@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end test of the octofs CLI across separate process invocations:
-# namespace + block data must persist via fsimage / edit log / disk-backed
-# block stores, and setrep moves must survive a "restart".
+# namespace + block data must persist via the metadata directory (segmented
+# edit log + checkpoint images) and the disk-backed block stores, and
+# setrep moves must survive a "restart".
 set -e
 
 OCTOFS="$1"
@@ -50,5 +51,19 @@ cmp -s "$STATE/local.txt" "$STATE/out.txt" || fail "get round-trip mismatch"
 
 # report runs and mentions the tiers.
 "$OCTOFS" --state "$STATE" report | grep -q 'Memory' || fail "report"
+
+# The state directory holds only the config, block stores and metadata.
+for f in "$STATE"/*; do
+  case "${f##*/}" in
+    config|blocks|meta|local.txt|out.txt) ;;
+    *) fail "unexpected state entry ${f##*/}" ;;
+  esac
+done
+for f in "$STATE"/meta/*; do
+  case "${f##*/}" in
+    edits_*|fsimage_*) ;;
+    *) fail "unexpected metadata file ${f##*/}" ;;
+  esac
+done
 
 echo "octofs CLI end-to-end: OK"

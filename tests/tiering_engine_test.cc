@@ -108,46 +108,6 @@ TEST_F(TieringEngineTest, ClosedLoopPromotesFromRealReads) {
   EXPECT_EQ(RepVector("/cold"), ReplicationVector::Of(0, 0, 2));
 }
 
-// The staged report path (StageHeartbeatStats + FlushStagedReports) must
-// fold access statistics exactly like direct Heartbeat calls: same reads,
-// same resulting heat.
-TEST_F(TieringEngineTest, StagedHeartbeatsFoldLikeDirectOnes) {
-  auto MakeHeat = [](bool staged) {
-    auto created = Cluster::Create(TieredSpec());
-    OCTO_CHECK(created.ok());
-    std::unique_ptr<Cluster> cluster = std::move(created).value();
-    FileSystem fs(cluster.get(), NetworkLocation("rack0", "node0"));
-    CreateOptions options;
-    options.rep_vector = ReplicationVector::Of(0, 0, 2);
-    options.block_size = kMiB;
-    OCTO_CHECK(fs.WriteFile("/f", std::string(2 * kMiB, 'd'), options).ok());
-
-    TieringOptions engine_options;
-    engine_options.levels = {{kMemoryTier, 0.8, 1000.0}};  // observe only
-    engine_options.collect_access_stats = true;
-    TieringEngine engine(cluster->master(), engine_options);
-
-    for (int i = 0; i < 4; ++i) OCTO_CHECK(fs.ReadFile("/f").ok());
-    if (staged) {
-      for (WorkerId id : cluster->worker_ids()) {
-        Worker* worker = cluster->worker(id);
-        cluster->master()->StageHeartbeatStats(worker->BuildHeartbeat());
-        worker->ClearPendingBlockReads();
-      }
-      cluster->master()->FlushStagedReports();
-    } else {
-      OCTO_CHECK(cluster->PumpHeartbeats().ok());
-    }
-    OCTO_CHECK(engine.Tick().ok());
-    return engine.HeatOf("/f");
-  };
-
-  double direct = MakeHeat(false);
-  double staged = MakeHeat(true);
-  EXPECT_GT(direct, 0.0);
-  EXPECT_DOUBLE_EQ(direct, staged);
-}
-
 // ---- heat model boundaries ------------------------------------------------
 
 TEST_F(TieringEngineTest, HeatExactlyAtThresholdPromotes) {

@@ -19,8 +19,8 @@ ctest --preset asan-ubsan -j "$(nproc)" "$@"
 
 # ThreadSanitizer over the concurrency suite (the "concurrency" ctest
 # label): races in the fine-grained namespace locking, group-commit
-# journal, staged report paths, or the fuzzy checkpoint walking the
-# namespace while mutators run fail the run.
+# journal, or the fuzzy checkpoint walking the namespace while mutators
+# run fail the run.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" \
     --target metadata_concurrency_test --target durability_test \

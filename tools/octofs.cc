@@ -1,8 +1,12 @@
 // octofs — a command-line client for a persistent, single-machine
 // OctopusFS instance. Each invocation boots the cluster from a state
-// directory (fsimage + edit log + disk-backed block stores), runs one
-// command, checkpoints, and exits — exercising the same recovery path a
-// Backup Master uses.
+// directory, runs one command, checkpoints, and exits — exercising the
+// Master's crash recovery on every run. The state directory holds
+// `config`, the disk-backed block stores under `blocks/`, and the
+// Master's metadata under `meta/`: the segmented, checksummed edit log
+// (`edits_*`, fsynced before each mutation is acknowledged) and the
+// atomic checkpoint images (`fsimage_<txid>`). A process killed at any
+// point leaves a directory the next invocation recovers from.
 //
 //   octofs --state DIR init [racks workers]   create an instance
 //   octofs --state DIR mkdir /path
@@ -31,7 +35,6 @@
 #include "cluster/rebalancer.h"
 #include "common/config.h"
 #include "common/units.h"
-#include "namespacefs/fsimage.h"
 
 using namespace octo;
 
@@ -53,7 +56,7 @@ ClusterSpec SpecFromConfig(const Config& config, const std::string& state) {
   spec.workers_per_rack = static_cast<int>(config.GetInt("workers", 2));
   spec.with_simulation = false;  // a real (if small) file system
   spec.block_dir_root = state + "/blocks";
-  spec.master.edit_log_path = state + "/editlog";
+  spec.master.metadata_dir = state + "/meta";
   int64_t mem = config.GetInt("memory_mib", 64) * kMiB;
   int64_t ssd = config.GetInt("ssd_mib", 256) * kMiB;
   int64_t hdd = config.GetInt("hdd_mib", 1024) * kMiB;
@@ -80,32 +83,20 @@ Result<Config> LoadConfig(const std::string& state) {
   return config;
 }
 
-/// Boots the cluster: fsimage + edit log tail -> namespace & block
-/// records; block reports from the disk stores -> replica locations.
+/// Boots the cluster: newest checkpoint image + journal tail -> namespace
+/// & block records; block reports from the disk stores -> replica
+/// locations.
 Result<std::unique_ptr<Cluster>> Boot(const std::string& state,
                                       const Config& config) {
   OCTO_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
                         Cluster::Create(SpecFromConfig(config, state)));
   Master* master = cluster->master();
-  std::ifstream image_in(state + "/fsimage");
-  if (image_in) {
-    std::ostringstream image;
-    image << image_in.rdbuf();
-    // The on-disk edit log holds every record since the last checkpoint.
-    OCTO_RETURN_IF_ERROR(
-        master->LoadImage(image.str(), master->edit_log()->entries(), 0));
-  }
+  master->edit_log()->SetFsyncOnFlush(true);
+  OCTO_RETURN_IF_ERROR(master->RecoverFromLocalStorage());
   OCTO_RETURN_IF_ERROR(cluster->SendBlockReports());
   // Repair any under-replication found at boot.
   OCTO_RETURN_IF_ERROR(cluster->RunReplicationToQuiescence().status());
   return cluster;
-}
-
-/// Checkpoint: persist the namespace and truncate the edit log.
-Status Checkpoint(const std::string& state, Cluster* cluster) {
-  OCTO_RETURN_IF_ERROR(FsImage::Save(cluster->master()->namespace_tree(),
-                                     state + "/fsimage"));
-  return cluster->master()->edit_log()->Truncate();
 }
 
 Result<ReplicationVector> ParseVector(const std::string& text) {
@@ -278,7 +269,9 @@ int main(int argc, char** argv) {
   }
 
   if (rc == 0) {
-    Status st = Checkpoint(state, cluster);
+    // Folds this run's journal records into a new image so the next boot
+    // replays a short tail.
+    Status st = cluster->master()->WriteCheckpoint().status();
     if (!st.ok()) return Fail("checkpoint failed: " + st.ToString());
   }
   return rc;
