@@ -1,9 +1,12 @@
 #include "storage/block_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "storage/checksum.h"
 
@@ -219,6 +222,78 @@ Status MemoryBlockStore::CorruptForTesting(BlockId id) {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+// Offsets inside the on-disk trailer.
+constexpr int64_t kGenstampOffset = 4;
+constexpr int64_t kStateOffset = 12;
+
+void AppendTrailer(std::string* out, uint32_t crc, uint64_t genstamp,
+                   ReplicaState state) {
+  char trailer[kTrailerBytes];
+  std::memcpy(trailer, &crc, 4);
+  std::memcpy(trailer + kGenstampOffset, &genstamp, 8);
+  trailer[kStateOffset] = state == ReplicaState::kRbw ? 0 : 1;
+  out->append(trailer, kTrailerBytes);
+}
+
+// A block file opened for the span of one store call; positional reads
+// and writes, so a packet or a state flip touches only its own bytes.
+class BlockFile {
+ public:
+  BlockFile(std::string path, int flags)
+      : path_(std::move(path)),
+        fd_(::open(path_.c_str(), flags | O_CLOEXEC, 0644)),
+        open_errno_(fd_ < 0 ? errno : 0) {}
+  ~BlockFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  BlockFile(const BlockFile&) = delete;
+  BlockFile& operator=(const BlockFile&) = delete;
+
+  Status status() const {
+    if (fd_ >= 0) return Status::OK();
+    return Status::IoError("cannot open " + path_ + ": " +
+                           std::strerror(open_errno_));
+  }
+
+  Status ReadAt(int64_t offset, char* out, size_t n) const {
+    while (n > 0) {
+      ssize_t got = ::pread(fd_, out, n, offset);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return Status::IoError("short read from " + path_);
+      out += got;
+      n -= static_cast<size_t>(got);
+      offset += got;
+    }
+    return Status::OK();
+  }
+
+  Status WriteAt(int64_t offset, std::string_view bytes) {
+    while (!bytes.empty()) {
+      ssize_t put = ::pwrite(fd_, bytes.data(), bytes.size(), offset);
+      if (put < 0 && errno == EINTR) continue;
+      if (put <= 0) return Status::IoError("short write to " + path_);
+      bytes.remove_prefix(static_cast<size_t>(put));
+      offset += put;
+    }
+    return Status::OK();
+  }
+
+  Status Truncate(int64_t size) {
+    if (::ftruncate(fd_, size) == 0) return Status::OK();
+    return Status::IoError("cannot truncate " + path_ + ": " +
+                           std::strerror(errno));
+  }
+
+ private:
+  std::string path_;
+  int fd_;
+  int open_errno_;
+};
+
+}  // namespace
+
 Result<std::unique_ptr<DiskBlockStore>> DiskBlockStore::Open(std::string dir) {
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -241,16 +316,15 @@ Result<std::unique_ptr<DiskBlockStore>> DiskBlockStore::Open(std::string dir) {
     // (crash mid-write) indexes as an empty stamped-0 RBW replica the
     // master will invalidate on the next block report.
     if (file_size >= kTrailerBytes) {
-      std::ifstream in(store->BlockPath(id), std::ios::binary);
-      if (in) {
-        in.seekg(info.length + 4);
-        char tail[9];
-        in.read(tail, 9);
-        if (in) {
-          std::memcpy(&info.genstamp, tail, 8);
-          info.state = tail[8] == 0 ? ReplicaState::kRbw
-                                    : ReplicaState::kFinalized;
-        }
+      BlockFile file(store->BlockPath(id), O_RDONLY);
+      char tail[kTrailerBytes - kGenstampOffset];
+      if (file.status().ok() &&
+          file.ReadAt(info.length + kGenstampOffset, tail, sizeof(tail))
+              .ok()) {
+        std::memcpy(&info.genstamp, tail, 8);
+        info.state = tail[kStateOffset - kGenstampOffset] == 0
+                         ? ReplicaState::kRbw
+                         : ReplicaState::kFinalized;
       }
     } else {
       info.state = ReplicaState::kRbw;
@@ -269,56 +343,6 @@ std::string DiskBlockStore::BlockPath(BlockId id) const {
   return dir_ + "/blk_" + std::to_string(id);
 }
 
-Status DiskBlockStore::WriteFileLocked(BlockId id, const std::string& payload,
-                                       const ReplicaInfo& info, uint32_t crc) {
-  std::ofstream out(BlockPath(id), std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open " + BlockPath(id) + " for write");
-  }
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  char trailer[kTrailerBytes];
-  std::memcpy(trailer, &crc, 4);
-  std::memcpy(trailer + 4, &info.genstamp, 8);
-  trailer[12] = info.state == ReplicaState::kRbw ? 0 : 1;
-  out.write(trailer, kTrailerBytes);
-  out.close();
-  if (!out) {
-    return Status::IoError("short write to " + BlockPath(id));
-  }
-  return Status::OK();
-}
-
-Result<std::string> DiskBlockStore::ReadPayloadLocked(BlockId id,
-                                                      int64_t length) const {
-  std::ifstream in(BlockPath(id), std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + BlockPath(id) + " for read");
-  }
-  std::string payload(static_cast<size_t>(length), '\0');
-  in.read(payload.data(), length);
-  if (!in) {
-    return Status::IoError("short read from " + BlockPath(id));
-  }
-  return payload;
-}
-
-Result<uint32_t> DiskBlockStore::ReadCrcLocked(BlockId id,
-                                               int64_t length) const {
-  std::ifstream in(BlockPath(id), std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + BlockPath(id) + " for read");
-  }
-  in.seekg(length);
-  char trailer[4];
-  in.read(trailer, 4);
-  if (!in) {
-    return Status::IoError("short trailer read from " + BlockPath(id));
-  }
-  uint32_t crc;
-  std::memcpy(&crc, trailer, 4);
-  return crc;
-}
-
 Status DiskBlockStore::Put(BlockId id, std::string data, uint64_t genstamp) {
   bool corrupt_after = false;
   if (fault_hook_ != nullptr) {
@@ -330,7 +354,10 @@ Status DiskBlockStore::Put(BlockId id, std::string data, uint64_t genstamp) {
     std::lock_guard<std::mutex> lock(mu_);
     ReplicaInfo info{static_cast<int64_t>(data.size()), genstamp,
                      ReplicaState::kFinalized};
-    OCTO_RETURN_IF_ERROR(WriteFileLocked(id, data, info, Crc32c(data)));
+    AppendTrailer(&data, Crc32c(data), genstamp, info.state);
+    BlockFile file(BlockPath(id), O_WRONLY | O_CREAT | O_TRUNC);
+    OCTO_RETURN_IF_ERROR(file.status());
+    OCTO_RETURN_IF_ERROR(file.WriteAt(0, data));
     auto it = replicas_.find(id);
     if (it != replicas_.end()) used_bytes_ -= it->second.length;
     replicas_[id] = info;
@@ -344,8 +371,11 @@ Status DiskBlockStore::Put(BlockId id, std::string data, uint64_t genstamp) {
 Status DiskBlockStore::Create(BlockId id, uint64_t genstamp) {
   std::lock_guard<std::mutex> lock(mu_);
   ReplicaInfo info{0, genstamp, ReplicaState::kRbw};
-  OCTO_RETURN_IF_ERROR(WriteFileLocked(id, std::string(), info,
-                                       Crc32c(std::string_view())));
+  std::string trailer;
+  AppendTrailer(&trailer, Crc32c(std::string_view()), genstamp, info.state);
+  BlockFile file(BlockPath(id), O_WRONLY | O_CREAT | O_TRUNC);
+  OCTO_RETURN_IF_ERROR(file.status());
+  OCTO_RETURN_IF_ERROR(file.WriteAt(0, trailer));
   auto it = replicas_.find(id);
   if (it != replicas_.end()) used_bytes_ -= it->second.length;
   replicas_[id] = info;
@@ -377,20 +407,22 @@ Status DiskBlockStore::Append(BlockId id, int64_t offset, std::string_view data,
           std::to_string(offset) + " but replica length is " +
           std::to_string(info.length));
     }
-    Result<std::string> payload = ReadPayloadLocked(id, info.length);
-    OCTO_RETURN_IF_ERROR(payload.status());
+    BlockFile file(BlockPath(id), O_RDWR);
+    OCTO_RETURN_IF_ERROR(file.status());
     // Extend the stored trailer CRC with the appended bytes; never
-    // recompute from the re-read payload (that would launder any
+    // recompute over the stored payload (that would launder any
     // corruption the stored bytes suffered since the last append).
-    Result<uint32_t> crc = ReadCrcLocked(id, info.length);
-    OCTO_RETURN_IF_ERROR(crc.status());
-    payload.value().append(data);
-    ReplicaInfo updated{static_cast<int64_t>(payload.value().size()),
-                        info.genstamp, info.state};
-    OCTO_RETURN_IF_ERROR(WriteFileLocked(id, payload.value(), updated,
-                                         Crc32cExtend(*crc, data)));
-    used_bytes_ += updated.length - info.length;
-    info = updated;
+    uint32_t crc;
+    OCTO_RETURN_IF_ERROR(
+        file.ReadAt(info.length, reinterpret_cast<char*>(&crc), 4));
+    // The packet and its new trailer go over the old trailer in one write.
+    std::string tail;
+    tail.reserve(data.size() + kTrailerBytes);
+    tail.append(data);
+    AppendTrailer(&tail, Crc32cExtend(crc, data), info.genstamp, info.state);
+    OCTO_RETURN_IF_ERROR(file.WriteAt(info.length, tail));
+    info.length += static_cast<int64_t>(data.size());
+    used_bytes_ += static_cast<int64_t>(data.size());
   }
   if (corrupt_after) return CorruptForTesting(id);
   return Status::OK();
@@ -407,13 +439,12 @@ Status DiskBlockStore::Finalize(BlockId id, uint64_t genstamp) {
     return GenstampMismatch(id, info.genstamp, genstamp);
   }
   if (info.state == ReplicaState::kFinalized) return Status::OK();
-  Result<std::string> payload = ReadPayloadLocked(id, info.length);
-  OCTO_RETURN_IF_ERROR(payload.status());
-  Result<uint32_t> crc = ReadCrcLocked(id, info.length);
-  OCTO_RETURN_IF_ERROR(crc.status());
-  ReplicaInfo updated{info.length, info.genstamp, ReplicaState::kFinalized};
-  OCTO_RETURN_IF_ERROR(WriteFileLocked(id, payload.value(), updated, *crc));
-  info = updated;
+  // Sealing flips the trailer's state byte; nothing else changes.
+  BlockFile file(BlockPath(id), O_WRONLY);
+  OCTO_RETURN_IF_ERROR(file.status());
+  OCTO_RETURN_IF_ERROR(
+      file.WriteAt(info.length + kStateOffset, std::string_view("\1", 1)));
+  info.state = ReplicaState::kFinalized;
   return Status::OK();
 }
 
@@ -433,16 +464,19 @@ Status DiskBlockStore::Recover(BlockId id, int64_t new_length,
         "replica " + std::to_string(id) + " cannot grow to " +
         std::to_string(new_length) + " from " + std::to_string(info.length));
   }
-  Result<std::string> payload = ReadPayloadLocked(id, info.length);
-  OCTO_RETURN_IF_ERROR(payload.status());
-  payload.value().resize(static_cast<size_t>(new_length));
+  BlockFile file(BlockPath(id), O_RDWR);
+  OCTO_RETURN_IF_ERROR(file.status());
+  std::string kept(static_cast<size_t>(new_length), '\0');
+  OCTO_RETURN_IF_ERROR(file.ReadAt(0, kept.data(), kept.size()));
   // Truncation cannot un-extend a CRC; recomputing over the kept prefix
   // is the one legitimate recompute (HDFS re-checksums on truncate too).
-  ReplicaInfo updated{new_length, new_genstamp, info.state};
-  OCTO_RETURN_IF_ERROR(
-      WriteFileLocked(id, payload.value(), updated, Crc32c(payload.value())));
+  std::string trailer;
+  AppendTrailer(&trailer, Crc32c(kept), new_genstamp, info.state);
+  OCTO_RETURN_IF_ERROR(file.Truncate(new_length));
+  OCTO_RETURN_IF_ERROR(file.WriteAt(new_length, trailer));
   used_bytes_ -= info.length - new_length;
-  info = updated;
+  info.length = new_length;
+  info.genstamp = new_genstamp;
   return Status::OK();
 }
 
@@ -455,19 +489,15 @@ Result<std::string> DiskBlockStore::Get(BlockId id) const {
   if (it == replicas_.end()) {
     return Status::NotFound("block " + std::to_string(id));
   }
-  std::ifstream in(BlockPath(id), std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + BlockPath(id) + " for read");
-  }
-  std::string payload(static_cast<size_t>(it->second.length), '\0');
-  in.read(payload.data(), it->second.length);
-  char trailer[4];
-  in.read(trailer, 4);
-  if (!in) {
-    return Status::IoError("short read from " + BlockPath(id));
-  }
+  BlockFile file(BlockPath(id), O_RDONLY);
+  OCTO_RETURN_IF_ERROR(file.status());
+  // Payload and stored CRC in one read.
+  const size_t length = static_cast<size_t>(it->second.length);
+  std::string payload(length + 4, '\0');
+  OCTO_RETURN_IF_ERROR(file.ReadAt(0, payload.data(), payload.size()));
   uint32_t stored_crc;
-  std::memcpy(&stored_crc, trailer, 4);
+  std::memcpy(&stored_crc, payload.data() + length, 4);
+  payload.resize(length);
   if (Crc32c(payload) != stored_crc) {
     return Status::Corruption("block " + std::to_string(id) +
                               " checksum mismatch");
@@ -533,16 +563,12 @@ Status DiskBlockStore::CorruptForTesting(BlockId id) {
   }
   // Flips the file's first byte: a payload byte when the replica has
   // data, otherwise the checksum itself — either way Get mismatches.
-  std::fstream f(BlockPath(id), std::ios::binary | std::ios::in | std::ios::out);
-  if (!f) {
-    return Status::IoError("cannot open " + BlockPath(id));
-  }
+  BlockFile file(BlockPath(id), O_RDWR);
+  OCTO_RETURN_IF_ERROR(file.status());
   char c = 0;
-  f.read(&c, 1);
+  OCTO_RETURN_IF_ERROR(file.ReadAt(0, &c, 1));
   c ^= static_cast<char>(0xFF);
-  f.seekp(0);
-  f.write(&c, 1);
-  return f ? Status::OK() : Status::IoError("corrupt write failed");
+  return file.WriteAt(0, std::string_view(&c, 1));
 }
 
 }  // namespace octo

@@ -162,6 +162,9 @@ class MemoryBlockStore : public BlockStore {
 /// Filesystem-backed store: one file per block under `dir`, with the
 /// checksum, generation stamp, and replica state kept in a 13-byte
 /// trailer [crc32c:4][genstamp:8][state:1]. Survives process restarts.
+/// Put and Create write whole files; Append writes the packet and a new
+/// trailer over the old trailer, Finalize flips the state byte, and only
+/// Recover re-reads the payload (to checksum the kept prefix).
 class DiskBlockStore : public BlockStore {
  public:
   /// Creates the directory if needed and indexes any existing blocks.
@@ -187,16 +190,6 @@ class DiskBlockStore : public BlockStore {
   explicit DiskBlockStore(std::string dir) : dir_(std::move(dir)) {}
 
   std::string BlockPath(BlockId id) const;
-  /// Writes payload + trailer to the block file with an explicit
-  /// checksum (appends extend the stored CRC with the new bytes instead
-  /// of recomputing over possibly-corrupted stored data); caller holds
-  /// mu_.
-  Status WriteFileLocked(BlockId id, const std::string& payload,
-                         const ReplicaInfo& info, uint32_t crc);
-  /// Reads the payload (no CRC verify); caller holds mu_.
-  Result<std::string> ReadPayloadLocked(BlockId id, int64_t length) const;
-  /// Reads the trailer's stored CRC; caller holds mu_.
-  Result<uint32_t> ReadCrcLocked(BlockId id, int64_t length) const;
 
   std::string dir_;
   mutable std::mutex mu_;

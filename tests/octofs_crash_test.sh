@@ -98,9 +98,11 @@ done
 
 # Event-triggered kills inside WriteCheckpoint: right after the journal
 # segment is rolled, and as soon as a new image file appears (while it is
-# being written, if the writer is correct: as a .tmp).
+# being written, if the writer is correct: as a .tmp). The checkpoint of a
+# 9 MiB put lasts a few milliseconds, and on a loaded machine this polling
+# loop can miss it, so each event gets four tries.
 i=0
-for event in rolled image rolled image; do
+for event in rolled image rolled image rolled image rolled image; do
   i=$((i + 1))
   b=/data/B_${event}_$i
   seg=$(inprogress)

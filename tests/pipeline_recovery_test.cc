@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -508,8 +509,13 @@ struct ChaosOutcome {
   }
 };
 
-void RunPipelineChaos(uint64_t seed, ChaosOutcome* outcome) {
-  auto cluster = std::move(Cluster::Create(SmallSpec())).value();
+/// Runs the chaos rounds; a non-empty `block_dir_root` puts the HDD media
+/// on DiskBlockStores under it instead of memory stores.
+void RunPipelineChaos(uint64_t seed, ChaosOutcome* outcome,
+                      const std::string& block_dir_root = "") {
+  ClusterSpec spec = SmallSpec();
+  spec.block_dir_root = block_dir_root;
+  auto cluster = std::move(Cluster::Create(spec)).value();
   FaultRegistry faults(seed);
   cluster->InstallFaultRegistry(&faults);
   FileSystem fs(cluster.get(), NetworkLocation("rack0", "node0"));
@@ -638,6 +644,32 @@ TEST(PipelineChaosTest, Seed33) {
   ChaosOutcome outcome;
   RunPipelineChaos(33, &outcome);
 }
+
+// The same rounds on disk stores, so every injected fault reaches
+// DiskBlockStore's in-place Append, Recover and Finalize. The stores must
+// be indistinguishable: each seed ends exactly as it does in memory.
+void RunDiskPipelineChaos(uint64_t seed) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("octo_pipeline_chaos_" + std::to_string(::getpid()) + "_" +
+       std::to_string(seed));
+  std::filesystem::remove_all(dir);
+  ChaosOutcome on_disk, in_memory;
+  RunPipelineChaos(seed, &on_disk, dir.string());
+  int replica_files = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    replica_files += entry.path().filename().string().rfind("blk_", 0) == 0;
+  }
+  EXPECT_GT(replica_files, 0);
+  std::filesystem::remove_all(dir);
+  RunPipelineChaos(seed, &in_memory);
+  EXPECT_TRUE(on_disk == in_memory);
+}
+
+TEST(PipelineChaosTest, DiskSeed11) { RunDiskPipelineChaos(11); }
+TEST(PipelineChaosTest, DiskSeed22) { RunDiskPipelineChaos(22); }
+TEST(PipelineChaosTest, DiskSeed33) { RunDiskPipelineChaos(33); }
 
 TEST(PipelineChaosTest, SameSeedSameOutcome) {
   ChaosOutcome first, second;

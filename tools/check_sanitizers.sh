@@ -19,12 +19,12 @@ ctest --preset asan-ubsan -j "$(nproc)" "$@"
 
 # ThreadSanitizer over the concurrency suite (the "concurrency" ctest
 # label): races in the fine-grained namespace locking, group-commit
-# journal, or the fuzzy checkpoint walking the namespace while mutators
-# run fail the run.
+# journal, the fuzzy checkpoint walking the namespace while mutators
+# run, or block-store streams racing reads fail the run.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" \
     --target metadata_concurrency_test --target durability_test \
-    --target repair_test
+    --target repair_test --target storage_test
 
 export TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1
 ctest --preset tsan "$@"
