@@ -1,13 +1,14 @@
 // Ablation 3: the internal multi-level cache management policy (paper §6)
 // on a skewed read workload. 24 x 1 GiB files live on the HDD tier; a
-// zipf-like reader hammers a hot subset. With the CacheManager ticking,
-// hot files gain Memory-tier replicas and aggregate read throughput rises.
+// zipf-like reader hammers a hot subset. With a one-level (memory)
+// TieringEngine fed by the reader and ticking after each round, hot files
+// gain Memory-tier replicas and aggregate read throughput rises.
 
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "cluster/cache_manager.h"
+#include "cluster/tiering_engine.h"
 
 using namespace octo;
 
@@ -17,7 +18,7 @@ constexpr int kFiles = 24;
 constexpr int kRounds = 6;
 constexpr int kReadsPerRound = 18;
 
-double RunWorkload(bool with_cache_manager) {
+double RunWorkload(bool with_cache) {
   auto cluster = bench::MakeBenchCluster(bench::FsMode::kOctopusDefault, 31);
   workload::TransferEngine engine(cluster.get());
   sim::Simulation* sim = cluster->simulation();
@@ -31,7 +32,12 @@ double RunWorkload(bool with_cache_manager) {
   }
   sim->RunUntilIdle();
 
-  CacheManager manager(cluster->master());
+  // The paper's §6 cache policy: one memory level at the default budget
+  // and threshold, fed only by the reader's explicit RecordAccess calls.
+  TieringOptions options;
+  options.levels = {{kMemoryTier, 0.8, 3.0}};
+  options.collect_access_stats = false;
+  TieringEngine manager(cluster->master(), options);
   Random rng(7);
   double start = sim->now();
   int64_t total_bytes = 0;
@@ -44,7 +50,7 @@ double RunWorkload(bool with_cache_manager) {
                      ? static_cast<int>(rng.Uniform(4))
                      : static_cast<int>(4 + rng.Uniform(kFiles - 4));
       std::string path = "/warehouse/f" + std::to_string(file);
-      if (with_cache_manager) manager.RecordAccess(path);
+      if (with_cache) manager.RecordAccess(path);
       engine.ReadFileAsync(
           path, cluster->worker(r % 9)->location(),
           [&done](Status st) {
@@ -55,7 +61,7 @@ double RunWorkload(bool with_cache_manager) {
     }
     sim->RunUntilIdle();
     OCTO_CHECK(done == kReadsPerRound);
-    if (with_cache_manager) {
+    if (with_cache) {
       auto report = manager.Tick();
       OCTO_CHECK(report.ok()) << report.status().ToString();
       // Execute the promotion copies before the next round.

@@ -95,12 +95,6 @@ BlockRecord* BlockManager::FindMutable(BlockId id) {
   return it == stripe.blocks.end() ? nullptr : &it->second;
 }
 
-bool BlockManager::Contains(BlockId id) const {
-  const Stripe& stripe = StripeFor(id);
-  std::shared_lock<std::shared_mutex> lock(stripe.mu);
-  return stripe.blocks.count(id) > 0;
-}
-
 bool BlockManager::Snapshot(BlockId id, BlockRecord* out) const {
   const Stripe& stripe = StripeFor(id);
   std::shared_lock<std::shared_mutex> lock(stripe.mu);

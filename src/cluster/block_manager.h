@@ -73,7 +73,6 @@ class BlockManager {
   /// Mutable lookup for callers that edit a record in place (the
   /// replication monitor pruning dead replicas).
   BlockRecord* FindMutable(BlockId id);
-  bool Contains(BlockId id) const;
 
   /// Copies the record under the stripe lock; safe from any thread.
   /// Returns false when the block is unknown.

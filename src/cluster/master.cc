@@ -14,6 +14,11 @@ namespace octo {
 
 namespace {
 const UserContext kSuperuser{"root", {}};
+// Balancing (BalanceTiers): a medium is overfull when its remaining
+// fraction lies this far below its tier's mean, and one pass schedules
+// at most this many moves.
+constexpr double kBalanceThreshold = 0.10;
+constexpr int kMaxBalanceMoves = 64;
 }  // namespace
 
 Master::Master(MasterOptions options, Clock* clock)
@@ -1232,16 +1237,9 @@ void Master::ExpireInflight() {
 void Master::AbortInflightCopy(BlockId block, MediumId target,
                                RepairAbort reason) {
   repair_.NoteAborted(block, target, reason, clock_->NowMicros());
-  // A move whose copy never confirmed: release the target reservation
-  // and forget the move (the source replica was never touched).
-  auto move = pending_moves_.find({block, target});
-  if (move != pending_moves_.end()) {
-    const BlockRecord* record = blocks_.Find(block);
-    if (record != nullptr) {
-      (void)state_.AdjustMediumRemaining(target, record->length);
-    }
-    pending_moves_.erase(move);
-  }
+  // A move whose copy never confirmed is forgotten (the source replica
+  // was never touched).
+  pending_moves_.erase({block, target});
   inflight_copies_.erase({block, target});
   // Scrub the matching queued command: once the monitor reschedules the
   // repair, a late delivery of the old command must not execute a second,
@@ -1455,6 +1453,9 @@ int Master::DispatchCopyLocked(const RepairWork& work) {
       retrieval_->OrderReplicas(state_, target_info->location, live, &rng_);
   QueueCommand(target, std::move(cmd));
   inflight_copies_[{record->id, target}] = now;
+  if (work.victim != kInvalidMedium) {
+    pending_moves_[{record->id, target}] = work.victim;
+  }
   repair_.NoteDispatched(record->id, target, target_info->worker,
                          record->length, work.priority, now);
   return 1;
@@ -1596,9 +1597,7 @@ Status Master::CommitReplica(BlockId block, MediumId medium) {
   Status st = blocks_.AddReplica(block, medium);
   if (!st.ok() && !st.IsAlreadyExists()) return st;
   const BlockRecord* record = blocks_.Find(block);
-  // Replica moves reserved the target's space at scheduling time.
-  bool is_move = pending_moves_.count({block, medium}) > 0;
-  if (st.ok() && record != nullptr && !is_move) {
+  if (st.ok() && record != nullptr) {
     (void)state_.AdjustMediumRemaining(medium, -record->length);
   }
   // Complete a pending replica move: now that the copy is safe, drop the
@@ -1625,88 +1624,80 @@ Status Master::CommitReplica(BlockId block, MediumId medium) {
   return Status::OK();
 }
 
-Status Master::ScheduleReplicaMove(BlockId block, MediumId from) {
-  OCTO_RETURN_IF_ERROR(CheckNotInSafeMode("replica move"));
+Result<BalanceReport> Master::BalanceTiers() {
+  OCTO_RETURN_IF_ERROR(CheckNotInSafeMode("balance"));
   std::lock_guard<std::mutex> service(service_mu_);
-  const BlockRecord* record = blocks_.Find(block);
-  if (record == nullptr) {
-    return Status::NotFound("block " + std::to_string(block));
+  BalanceReport report;
+
+  // Per-tier mean remaining fraction, over the live-media index.
+  const std::vector<MediumInfo>& slab = state_.media_slab();
+  std::map<TierId, std::pair<double, int>> tier_mean;  // sum, count
+  for (uint32_t slot : state_.live_media()) {
+    auto& [sum, count] = tier_mean[slab[slot].tier];
+    sum += slab[slot].remaining_fraction();
+    ++count;
   }
-  if (std::find(record->locations.begin(), record->locations.end(), from) ==
-      record->locations.end()) {
-    return Status::NotFound("block " + std::to_string(block) +
-                            " has no replica on medium " +
-                            std::to_string(from));
-  }
-  const MediumInfo* from_info = state_.FindMedium(from);
-  if (from_info == nullptr) {
-    return Status::NotFound("medium " + std::to_string(from));
-  }
-  // One in-flight move per block keeps the bookkeeping simple.
-  for (const auto& [key, source] : pending_moves_) {
-    if (key.first == block) {
-      return Status::AlreadyExists("block " + std::to_string(block) +
-                                   " already has a move in flight");
+
+  // Overfull media, most overfull first.
+  struct Overfull {
+    MediumId id;
+    TierId tier;
+    double deficit;  // tier mean fraction minus this medium's fraction
+    int64_t to_move_bytes;
+  };
+  std::vector<Overfull> overfull;
+  for (uint32_t slot : state_.live_media()) {
+    const MediumInfo& m = slab[slot];
+    auto [sum, count] = tier_mean[m.tier];
+    if (count < 2) continue;  // nothing to balance against
+    double deficit = sum / count - m.remaining_fraction();
+    if (deficit > kBalanceThreshold) {
+      overfull.push_back(Overfull{
+          m.id, m.tier, deficit,
+          static_cast<int64_t>(deficit * m.capacity_bytes)});
     }
   }
-  PlacementRequest request;
-  request.rep_vector.Set(from_info->tier, 1);  // stay within the tier
-  request.block_size = record->length;
-  request.existing = record->locations;
-  OCTO_ASSIGN_OR_RETURN(std::vector<MediumId> placed,
-                        placement_->PlaceReplicas(state_, request, &rng_));
-  if (placed.empty()) {
-    return Status::NoSpace("no target medium for moving block " +
-                           std::to_string(block));
-  }
-  MediumId target = placed.front();
-  const MediumInfo* target_info = state_.FindMedium(target);
-  // Rebalancer moves are the least urgent byte movement there is: they
-  // share the repair budgets and yield when repair work has them busy.
-  if (target_info != nullptr &&
-      !repair_.CanDispatch(target_info->worker, target, record->length)) {
-    ++repair_.stats().deferred;
-    return Status::Unavailable("repair budget exhausted for worker " +
-                               std::to_string(target_info->worker) +
-                               "; retry the move later");
-  }
-  WorkerCommand cmd;
-  cmd.kind = WorkerCommand::Kind::kCopyReplica;
-  cmd.block = block;
-  cmd.target_medium = target;
-  cmd.genstamp = record->genstamp;
-  cmd.repair_priority = static_cast<int8_t>(RepairPriority::kMisTiered);
-  cmd.sources = retrieval_->OrderReplicas(
-      state_,
-      target_info != nullptr ? target_info->location : NetworkLocation(),
-      LiveLocations(*record), &rng_);
-  QueueCommand(target, std::move(cmd));
-  int64_t now = clock_->NowMicros();
-  inflight_copies_[{block, target}] = now;
-  if (target_info != nullptr) {
-    repair_.NoteDispatched(block, target, target_info->worker, record->length,
-                           RepairPriority::kMisTiered, now);
-  }
-  pending_moves_[{block, target}] = from;
-  // Reserve the target's space now so moves scheduled in the same pass
-  // spread across targets instead of piling onto one medium.
-  (void)state_.AdjustMediumRemaining(target, -record->length);
-  return Status::OK();
-}
+  report.overfull_media = static_cast<int>(overfull.size());
+  std::sort(overfull.begin(), overfull.end(),
+            [](const Overfull& a, const Overfull& b) {
+              return a.deficit > b.deficit;
+            });
 
-// ---------------------------------------------------------------------------
-// Transfer accounting
-
-void Master::NoteTransferStarted(WorkerId worker, MediumId medium) {
-  std::lock_guard<std::mutex> service(service_mu_);
-  state_.AddWorkerConnections(worker, +1);
-  state_.AddMediumConnections(medium, +1);
-}
-
-void Master::NoteTransferEnded(WorkerId worker, MediumId medium) {
-  std::lock_guard<std::mutex> service(service_mu_);
-  state_.AddWorkerConnections(worker, -1);
-  state_.AddMediumConnections(medium, -1);
+  for (const Overfull& source : overfull) {
+    int64_t scheduled = 0;
+    for (BlockId block : blocks_.BlocksOnMedium(source.id)) {
+      if (scheduled >= source.to_move_bytes ||
+          report.moves_scheduled >= kMaxBalanceMoves) {
+        break;
+      }
+      const BlockRecord* record = blocks_.Find(block);
+      if (record == nullptr) continue;
+      // One move per block at a time. A move already leaving this medium
+      // counts toward its quota, so a pass repeated before the copies
+      // land schedules nothing new.
+      auto pending = pending_moves_.lower_bound({block, kInvalidMedium});
+      if (pending != pending_moves_.end() && pending->first.first == block) {
+        if (pending->second == source.id) scheduled += record->length;
+        continue;
+      }
+      RepairWork work;
+      work.block = block;
+      work.tier = source.tier;  // stay within the tier
+      work.priority = RepairPriority::kMisTiered;
+      work.victim = source.id;
+      repair_.Enqueue(work);
+      if (DispatchRepairsLocked() == 0) {
+        // The repair plane has no room for it now (budget, backoff or no
+        // target): yield to repair work; a later pass retries.
+        ++report.moves_deferred;
+        break;
+      }
+      scheduled += record->length;
+      report.bytes_scheduled += record->length;
+      ++report.moves_scheduled;
+    }
+  }
+  return report;
 }
 
 // ---------------------------------------------------------------------------

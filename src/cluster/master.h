@@ -37,6 +37,17 @@ namespace fault {
 class FaultRegistry;
 }  // namespace fault
 
+/// Result of one balancing pass (Master::BalanceTiers).
+struct BalanceReport {
+  int moves_scheduled = 0;
+  int64_t bytes_scheduled = 0;
+  /// Media that were over the threshold before the pass.
+  int overfull_media = 0;
+  /// Moves the repair plane could not dispatch (budget full, backoff, or
+  /// no target); a later pass re-derives them.
+  int moves_deferred = 0;
+};
+
 /// Outcome of a pipeline-recovery request (mid-write failure handling):
 /// the surviving replicas must be truncated to the writer's acked offset
 /// and restamped with `genstamp` before streaming resumes. When the
@@ -135,7 +146,7 @@ struct MasterOptions {
   double safe_mode_threshold = 0.999;
   /// Candidate-selection mode for the default MOOP placement policy (and
   /// so for every path that delegates to it: block allocation, pipeline
-  /// replacement, re-replication, the rebalancer's and cache manager's
+  /// replacement, re-replication, tiering migrations and balancing
   /// moves). kExhaustive is the exact golden-tested oracle; kSampled
   /// keeps decisions sublinear in cluster size (DESIGN.md §11) and is
   /// the right choice for 1000+ worker clusters. Ignored after
@@ -143,7 +154,7 @@ struct MasterOptions {
   PlacementMode placement_mode = PlacementMode::kExhaustive;
   /// Throttle model of the repair plane (the unified repair/migration
   /// scheduler every background copy — re-replication, decommission
-  /// drain, tiering migration, rebalancer move — is dispatched
+  /// drain, tiering migration, balancing move — is dispatched
   /// through): per-worker in-flight caps, per-medium bytes budgets,
   /// jittered deadlines, seeded-jittered exponential backoff, bounded
   /// retry budgets, and expired-target cooldowns. The defaults are
@@ -412,11 +423,17 @@ class Master {
   /// Confirms a replica created by a kCopyReplica command.
   Status CommitReplica(BlockId block, MediumId medium);
 
-  /// Schedules moving one replica of `block` off `from` onto another
-  /// medium of the same tier (chosen by the placement policy). The old
-  /// replica is invalidated only after the copy confirms. Used by the
-  /// rebalancer.
-  Status ScheduleReplicaMove(BlockId block, MediumId from);
+  /// One operator-triggered balancing pass (`octofs balance`; the HDFS
+  /// Balancer analogue of the paper's data-balancing objective). Within
+  /// each tier, media whose remaining fraction lies more than 0.10
+  /// below the tier mean are overfull; most overfull first, up to 64 of
+  /// their replicas per pass are enqueued as repair moves (RepairWork
+  /// naming the replica to retire) and dispatched like every other
+  /// repair copy, so moves share its exclusions, scheduled-size
+  /// accounting, budgets and backoff. The old replica is dropped only
+  /// once the copy commits. Blocks with a move still in flight are not
+  /// moved again, so repeated passes are idempotent until copies land.
+  Result<BalanceReport> BalanceTiers();
 
   // -- access statistics & namespace events (automated tiering feed) ---------
 
@@ -443,14 +460,6 @@ class Master {
   void ClearNamespaceListener(NamespaceEventListener* listener) {
     namespace_listener_.compare_exchange_strong(listener, nullptr);
   }
-
-  // -- transfer accounting ----------------------------------------------------------
-
-  /// Connection bookkeeping feeding f_lb and the retrieval formula. In
-  /// the paper these counts travel via heartbeats; in-process we update
-  /// the Master's view directly when a transfer starts/ends.
-  void NoteTransferStarted(WorkerId worker, MediumId medium);
-  void NoteTransferEnded(WorkerId worker, MediumId medium);
 
   // -- recovery, fencing, safe mode ------------------------------------------
 
@@ -742,7 +751,7 @@ class Master {
   /// replica during reconciliation to avoid duplicate scheduling.
   std::map<std::pair<BlockId, MediumId>, int64_t> inflight_copies_;
   /// (block, copy target) -> source medium to invalidate once the copy
-  /// confirms (replica moves scheduled by the rebalancer).
+  /// confirms (balancing moves, see BalanceTiers).
   std::map<std::pair<BlockId, MediumId>, MediumId> pending_moves_;
   /// The unified repair/migration scheduler (priority buckets, budgets,
   /// backoff). Guarded by service_mu_ like the maps it mirrors; passive

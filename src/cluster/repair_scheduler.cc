@@ -41,12 +41,6 @@ bool RepairScheduler::PopNext(RepairWork* out) {
   return false;
 }
 
-int RepairScheduler::queued() const {
-  int n = 0;
-  for (const auto& bucket : buckets_) n += static_cast<int>(bucket.size());
-  return n;
-}
-
 bool RepairScheduler::CanDispatch(WorkerId target_worker,
                                   MediumId target_medium,
                                   int64_t bytes) const {
@@ -219,12 +213,6 @@ int64_t RepairScheduler::NextRetryMicros(int64_t now_micros) const {
   return earliest;
 }
 
-bool RepairScheduler::TargetInCooldown(BlockId block, MediumId target_medium,
-                                       int64_t now_micros) const {
-  auto it = cooldowns_.find(std::make_pair(block, target_medium));
-  return it != cooldowns_.end() && now_micros < it->second;
-}
-
 std::vector<MediumId> RepairScheduler::CooldownTargets(
     BlockId block, int64_t now_micros) const {
   std::vector<MediumId> targets;
@@ -238,11 +226,6 @@ std::vector<MediumId> RepairScheduler::CooldownTargets(
 int RepairScheduler::WorkerInflight(WorkerId worker) const {
   auto it = worker_inflight_.find(worker);
   return it == worker_inflight_.end() ? 0 : it->second;
-}
-
-int64_t RepairScheduler::MediumBytesInflight(MediumId medium) const {
-  auto it = medium_bytes_.find(medium);
-  return it == medium_bytes_.end() ? 0 : it->second;
 }
 
 void RepairScheduler::Reset() {

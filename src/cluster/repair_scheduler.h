@@ -61,6 +61,8 @@ struct RepairWork {
   RepairPriority priority = RepairPriority::kUnderReplicated;
   /// Trim work: delete `victim` instead of copying. `drain` marks the
   /// trim of a fully-evacuated draining replica (counted separately).
+  /// Copy work with a `victim` is a balancing move: the victim replica is
+  /// retired once the copy commits.
   bool is_trim = false;
   bool drain = false;
   MediumId victim = kInvalidMedium;
@@ -142,7 +144,6 @@ class RepairScheduler {
   void Enqueue(const RepairWork& work);
   /// Pops the highest-priority queued item (FIFO within a bucket).
   bool PopNext(RepairWork* out);
-  int queued() const;
 
   // -- throttle admission ---------------------------------------------------
 
@@ -187,10 +188,6 @@ class RepairScheduler {
   /// quiescence loop) sleep exactly until then.
   int64_t NextRetryMicros(int64_t now_micros) const;
 
-  /// True while (block, target) is cooling down after an expiry and must
-  /// be excluded from placement.
-  bool TargetInCooldown(BlockId block, MediumId target_medium,
-                        int64_t now_micros) const;
   /// Cooled-down target media for `block` (placement exclusion list).
   std::vector<MediumId> CooldownTargets(BlockId block,
                                         int64_t now_micros) const;
@@ -198,7 +195,6 @@ class RepairScheduler {
   // -- introspection --------------------------------------------------------
 
   int WorkerInflight(WorkerId worker) const;
-  int64_t MediumBytesInflight(MediumId medium) const;
   /// All media with repair bytes currently in flight toward them.
   /// Placement charges these as scheduled size (see DispatchCopyLocked).
   const std::map<MediumId, int64_t>& medium_bytes_inflight() const {

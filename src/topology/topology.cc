@@ -31,10 +31,6 @@ bool NetworkTopology::ContainsNode(const NetworkLocation& location) const {
   return nodes_.count(location) > 0;
 }
 
-std::vector<NetworkLocation> NetworkTopology::Nodes() const {
-  return {nodes_.begin(), nodes_.end()};
-}
-
 std::vector<std::string> NetworkTopology::Racks() const {
   std::vector<std::string> out;
   out.reserve(racks_.size());

@@ -29,9 +29,6 @@ class NetworkTopology {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int num_racks() const { return static_cast<int>(racks_.size()); }
 
-  /// All node locations, sorted.
-  std::vector<NetworkLocation> Nodes() const;
-
   /// Rack names, sorted.
   std::vector<std::string> Racks() const;
 

@@ -1,15 +1,26 @@
-// Tests for the internal multi-level cache management policy (paper §6).
+// Tests for the internal multi-level cache management policy (paper §6):
+// a TieringEngine managing one memory level, fed only by explicit
+// RecordAccess calls.
 
 #include <gtest/gtest.h>
 
 #include "client/file_system.h"
-#include "cluster/cache_manager.h"
 #include "cluster/cluster.h"
+#include "cluster/tiering_engine.h"
 #include "common/logging.h"
 #include "common/units.h"
 
 namespace octo {
 namespace {
+
+// The cache policy: one memory level holding up to `budget_fraction` of
+// the tier, promoting at heat 3; no access-statistics feed.
+TieringOptions CacheOptions(double budget_fraction = 0.8) {
+  TieringOptions options;
+  options.levels = {{kMemoryTier, budget_fraction, 3.0}};
+  options.collect_access_stats = false;
+  return options;
+}
 
 ClusterSpec CacheSpec() {
   ClusterSpec spec;
@@ -38,7 +49,8 @@ class CacheManagerTest : public ::testing::Test {
       ASSERT_TRUE(
           fs_->WriteFile(name, std::string(2 * kMiB, 'd'), options).ok());
     }
-    manager_ = std::make_unique<CacheManager>(cluster_->master());
+    manager_ =
+        std::make_unique<TieringEngine>(cluster_->master(), CacheOptions());
   }
 
   int MemoryReplicas(const std::string& path) {
@@ -57,7 +69,7 @@ class CacheManagerTest : public ::testing::Test {
 
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<FileSystem> fs_;
-  std::unique_ptr<CacheManager> manager_;
+  std::unique_ptr<TieringEngine> manager_;
 };
 
 TEST_F(CacheManagerTest, HotFileGetsPromotedToMemory) {
@@ -66,8 +78,8 @@ TEST_F(CacheManagerTest, HotFileGetsPromotedToMemory) {
   auto report = manager_->Tick();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->promotions, 1);
-  EXPECT_TRUE(manager_->IsPromoted("/hot"));
-  EXPECT_FALSE(manager_->IsPromoted("/cold"));
+  EXPECT_TRUE(manager_->IsManaged("/hot"));
+  EXPECT_FALSE(manager_->IsManaged("/cold"));
   Settle();
   EXPECT_EQ(MemoryReplicas("/hot"), 1);
   EXPECT_EQ(MemoryReplicas("/cold"), 0);
@@ -89,7 +101,7 @@ TEST_F(CacheManagerTest, CooledFileIsEvicted) {
   auto report = manager_->Tick();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->evictions, 1);
-  EXPECT_FALSE(manager_->IsPromoted("/hot"));
+  EXPECT_FALSE(manager_->IsManaged("/hot"));
   Settle();
   EXPECT_EQ(MemoryReplicas("/hot"), 0);
   // Durable replicas survive eviction.
@@ -142,7 +154,7 @@ TEST_F(CacheManagerTest, DeletedFileLeavesPromotedSetGracefully) {
   auto report = manager_->Tick();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->evictions, 1);
-  EXPECT_FALSE(manager_->IsPromoted("/hot"));
+  EXPECT_FALSE(manager_->IsManaged("/hot"));
 }
 
 TEST_F(CacheManagerTest, HottestFilesWinTheBudget) {
@@ -154,15 +166,15 @@ TEST_F(CacheManagerTest, HottestFilesWinTheBudget) {
                   .ok());
   ASSERT_TRUE(
       fs_->WriteFile("/less-hot", std::string(8 * kMiB, 'l'), options).ok());
-  CacheManagerOptions tight;
-  tight.memory_budget_fraction = 8.0 * kMiB / (3 * 8 * kMiB);  // one file
-  CacheManager manager(cluster_->master(), tight);
+  // A budget of exactly one file.
+  TieringEngine manager(cluster_->master(),
+                        CacheOptions(8.0 * kMiB / (3 * 8 * kMiB)));
   for (int i = 0; i < 10; ++i) manager.RecordAccess("/very-hot");
   for (int i = 0; i < 5; ++i) manager.RecordAccess("/less-hot");
   auto report = manager.Tick();
   ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(manager.IsPromoted("/very-hot"));
-  EXPECT_FALSE(manager.IsPromoted("/less-hot"));
+  EXPECT_TRUE(manager.IsManaged("/very-hot"));
+  EXPECT_FALSE(manager.IsManaged("/less-hot"));
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// Tests for cluster-level services: BlockManager bookkeeping, the
-// federation mount table, the Backup Master (sync / checkpoint /
-// failover), the Worker class, and Cluster control loops.
+// Tests for cluster-level services: BlockManager bookkeeping, the Backup
+// Master (sync / checkpoint / failover), the Worker class, and Cluster
+// control loops.
 
 #include <gtest/gtest.h>
 
 #include "cluster/backup_master.h"
 #include "cluster/block_manager.h"
 #include "cluster/cluster.h"
-#include "cluster/federation.h"
 #include "cluster/worker.h"
 #include "common/units.h"
 
@@ -57,59 +56,6 @@ TEST(BlockManagerTest, NextBlockIdSkipsExistingIds) {
   record.id = 100;
   ASSERT_TRUE(bm.AddBlock(record).ok());
   EXPECT_GT(bm.NextBlockId(), 100);
-}
-
-// ---------------------------------------------------------------------------
-// Federation
-
-class FederationTest : public ::testing::Test {
- protected:
-  FederationTest()
-      : m1_(MasterOptions{}, SystemClock::Default()),
-        m2_(MasterOptions{}, SystemClock::Default()) {}
-
-  Master m1_, m2_;
-  Federation fed_;
-};
-
-TEST_F(FederationTest, RoutesByLongestPrefix) {
-  ASSERT_TRUE(fed_.Mount("/", &m1_).ok());
-  ASSERT_TRUE(fed_.Mount("/warehouse", &m2_).ok());
-  EXPECT_EQ(*fed_.Route("/tmp/x"), &m1_);
-  EXPECT_EQ(*fed_.Route("/warehouse/t1"), &m2_);
-  EXPECT_EQ(*fed_.Route("/warehouse"), &m2_);
-  EXPECT_EQ(*fed_.RoutePrefix("/warehouse/t1"), "/warehouse");
-  // "/warehouse2" is NOT under "/warehouse".
-  EXPECT_EQ(*fed_.Route("/warehouse2"), &m1_);
-}
-
-TEST_F(FederationTest, NoMountIsNotFound) {
-  ASSERT_TRUE(fed_.Mount("/data", &m1_).ok());
-  EXPECT_TRUE(fed_.Route("/other").status().IsNotFound());
-}
-
-TEST_F(FederationTest, MountValidation) {
-  EXPECT_TRUE(fed_.Mount("relative", &m1_).IsInvalidArgument());
-  EXPECT_TRUE(fed_.Mount("/x", nullptr).IsInvalidArgument());
-  ASSERT_TRUE(fed_.Mount("/x", &m1_).ok());
-  EXPECT_TRUE(fed_.Mount("/x", &m2_).IsAlreadyExists());
-  ASSERT_TRUE(fed_.Unmount("/x").ok());
-  EXPECT_TRUE(fed_.Unmount("/x").IsNotFound());
-}
-
-TEST_F(FederationTest, CrossMountRenameRejected) {
-  ASSERT_TRUE(fed_.Mount("/a", &m1_).ok());
-  ASSERT_TRUE(fed_.Mount("/b", &m2_).ok());
-  EXPECT_TRUE(fed_.RouteRename("/a/f", "/b/f").status().IsNotSupported());
-  EXPECT_EQ(*fed_.RouteRename("/a/f", "/a/g"), &m1_);
-}
-
-TEST_F(FederationTest, NamespacesAreIndependent) {
-  ASSERT_TRUE(fed_.Mount("/a", &m1_).ok());
-  ASSERT_TRUE(fed_.Mount("/b", &m2_).ok());
-  ASSERT_TRUE((*fed_.Route("/a/dir"))->Mkdirs("/a/dir", kRoot).ok());
-  EXPECT_TRUE(m1_.GetFileStatus("/a/dir", kRoot).ok());
-  EXPECT_FALSE(m2_.GetFileStatus("/a/dir", kRoot).ok());
 }
 
 // ---------------------------------------------------------------------------

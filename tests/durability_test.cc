@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -888,6 +889,7 @@ class ShadowedMaster {
 };
 
 TEST(DurabilityChaosTest, CrashAtEveryInjectionPointLosesNoAckedOp) {
+  std::map<fault::Site, int64_t> site_hits;  // armed sites only
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     ScratchDir dir("octo_durability_chaos_" + std::to_string(seed));
     ManualClock clock;
@@ -930,6 +932,20 @@ TEST(DurabilityChaosTest, CrashAtEveryInjectionPointLosesNoAckedOp) {
               break;
           }
           registry.Arm(spec);
+          site_hits.emplace(spec.site, 0);
+        }
+        // Checkpoints at seeded points of the op stream reach the image
+        // write (and its armed faults): the whole op loop can finish
+        // inside one of the racing thread's fdatasyncs. A point that
+        // finds the racing checkpoint running waits for it, then takes
+        // its own.
+        if (rng.Uniform(8) == 0) {
+          while (sm.master()
+                     .WriteCheckpoint()
+                     .status()
+                     .IsFailedPrecondition()) {
+            std::this_thread::yield();
+          }
         }
         if (!sm.RandomOp(&rng, i)) break;  // fail-stopped: crash now
       }
@@ -943,6 +959,7 @@ TEST(DurabilityChaosTest, CrashAtEveryInjectionPointLosesNoAckedOp) {
       expect_with = FsImage::Serialize(sm.shadow());
       // Master destroyed here — the crash.
     }
+    for (auto& [site, hits] : site_hits) hits += registry.hits(site);
     registry.ClearAll();  // recovery runs on healthy hardware
     Master recovered(DurableOptions(dir.str()), &clock);
     Status st = recovered.RecoverFromLocalStorage();
@@ -952,6 +969,11 @@ TEST(DurabilityChaosTest, CrashAtEveryInjectionPointLosesNoAckedOp) {
         << "seed " << seed
         << ": recovered namespace matches neither the acked-ops shadow nor "
            "the shadow plus the one in-flight op";
+  }
+  // A sweep whose faults never fire checks nothing: every site armed in
+  // some seed must have fired in some seed.
+  for (const auto& [site, hits] : site_hits) {
+    EXPECT_GE(hits, 1) << fault::SiteName(site) << " never fired";
   }
 }
 

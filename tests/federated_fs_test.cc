@@ -88,6 +88,26 @@ TEST_F(FederatedFsTest, LongestPrefixWins) {
   EXPECT_FALSE(clients_[0]->Exists("/warehouse/archive/old"));
 }
 
+TEST_F(FederatedFsTest, RoutesByPathComponentsUnderARootMount) {
+  auto cluster = Cluster::Create(SmallSpec());
+  ASSERT_TRUE(cluster.ok());
+  FileSystem root(cluster->get(), NetworkLocation("rack0", "node0"));
+  ASSERT_TRUE(fed_.Mount("/", &root).ok());
+  EXPECT_EQ(*fed_.Route("/tmp/x"), &root);
+  EXPECT_EQ(*fed_.Route("/warehouse"), clients_[0].get());
+  EXPECT_EQ(*fed_.Route("/warehouse/t1"), clients_[0].get());
+  // "/warehouse2" shares a string prefix with "/warehouse" but is not
+  // under it.
+  EXPECT_EQ(*fed_.Route("/warehouse2"), &root);
+}
+
+TEST_F(FederatedFsTest, NamespacesAreIndependent) {
+  ASSERT_TRUE(fed_.Mkdirs("/warehouse/dir").ok());
+  EXPECT_TRUE(clients_[0]->Exists("/warehouse/dir"));
+  EXPECT_FALSE(clients_[1]->Exists("/warehouse/dir"));
+  EXPECT_TRUE(fed_.GetFileStatus("/warehouse/dir")->is_dir);
+}
+
 TEST_F(FederatedFsTest, SetReplicationRoutes) {
   CreateOptions options;
   options.block_size = kMiB;

@@ -70,6 +70,10 @@ struct Churn {
   int steps = 260;
   int prefill = 0;  // pipeline flows started up-front, before churning
   uint64_t seed = 1;
+  // Spill pipelines (shape 7) cross the NIC and disk of seven consecutive
+  // workers plus the core: 15 resources, more than the adjacency arena's
+  // initial stride, so the arena must widen mid-churn.
+  bool wide_spills = false;
 };
 
 void RunChurn(const Churn& cfg) {
@@ -144,7 +148,15 @@ void RunChurn(const Churn& cfg) {
         rs = {disks[src]};  // local write
       } else {
         rs = {nics[src], nics[dst], disks[dst], core};  // pipeline
-        if (shape == 7) rs.push_back(disks[src]);       // + local spill
+        if (shape == 7 && cfg.wide_spills) {
+          rs = {core};
+          for (int k = 0; k < 7; ++k) {
+            rs.push_back(nics[(src + k) % workers]);
+            rs.push_back(disks[(src + k) % workers]);
+          }
+        } else if (shape == 7) {
+          rs.push_back(disks[src]);  // + local spill
+        }
       }
       double bytes = (rng.Below(20) == 0)
                          ? 0.0  // instant flow: completes via timer
@@ -223,6 +235,16 @@ TEST(SimPropertyTest, LargeSingleComponentMatchesOracle) {
   cfg.prefill = 100;
   cfg.seed = 42;
   RunChurn(cfg);
+}
+
+TEST(SimPropertyTest, WideFlowsGrowTheAdjacencyArena) {
+  for (uint64_t seed : {3ull, 11ull}) {
+    Churn cfg;
+    cfg.seed = seed;
+    cfg.wide_spills = true;
+    RunChurn(cfg);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(SimPropertyTest, CapOnlyAndInstantFlows) {

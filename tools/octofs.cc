@@ -32,7 +32,6 @@
 
 #include "client/file_system.h"
 #include "cluster/cluster.h"
-#include "cluster/rebalancer.h"
 #include "common/config.h"
 #include "common/units.h"
 
@@ -253,9 +252,8 @@ int main(int argc, char** argv) {
                 total, under, *corrupt,
                 *corrupt > 0 ? " (repair scheduled)" : "");
   } else if (command == "balance" && rest.empty()) {
-    Rebalancer rebalancer(cluster->master());
     for (int pass = 0; pass < 10; ++pass) {
-      auto report = rebalancer.Run();
+      auto report = cluster->master()->BalanceTiers();
       if (!report.ok()) return Fail(report.status().ToString());
       auto pumped = cluster->PumpHeartbeats();
       if (!pumped.ok()) return Fail(pumped.status().ToString());
